@@ -1,7 +1,7 @@
 """Exact computer algebra for multi-index operads, Novikov products and
 rooted-tree Hopf algebras."""
 
-from .exact import Poly, Rational, bernoulli, binomial_poly, indefinite_sum, multinomial
+from .exact import Poly, bernoulli, binomial_poly, indefinite_sum, multinomial
 from .words import (
     ArityError,
     NCPoly,

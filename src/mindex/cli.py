@@ -2,7 +2,7 @@
 
 One subcommand per operation; expressions use the grammars of
 ``mindex.parsing``.  Exit codes: 0 success, 1 computation error, 2 parse
-error, 3 selfcheck failure.
+error or bad option, 3 selfcheck failure.
 """
 
 from __future__ import annotations
@@ -206,6 +206,13 @@ def _cmd_stats(args) -> str:
     return f"symmetry={s}\tplane={p}\tmonomial={M.format_alpha(m)}"
 
 
+def _positive_int(text: str) -> int:
+    """Option type for sizes: an integer of at least 1."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _cmd_selfcheck(args) -> str:
     from .selfcheck import format_report, run_selfcheck
 
@@ -270,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p = add("selfcheck", _cmd_selfcheck, help="run all law suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--size", type=int, default=3)
+    p.add_argument("--size", type=_positive_int, default=3)
     return ap
 
 

@@ -18,8 +18,6 @@ from typing import Sequence
 
 from .linear import LinComb
 
-Rational = Fraction
-
 
 def multinomial(parts: Sequence[int]) -> int:
     """(sum parts)! / prod(part!), exactly."""

@@ -5,7 +5,10 @@ monomials, rooted forests, tensors thereof) is a free module with a
 hashable basis.  ``LinComb`` stores such an element as a dict
 ``basis key -> Fraction`` with no zero coefficients ever kept, so equality
 of dicts is equality of elements.  Subclasses fix how two basis keys
-multiply and how a key is rendered.
+multiply and how a key is rendered; ``Tensor`` pairs two of them.  The law
+kit at the end checks each bialgebra law once, key by key, for any algebra
+described by a ``DoubleBialgebra`` record, such as ``bialgebra.FOREST_SIDE``
+and ``trees.TREE_SIDE``.
 """
 
 from __future__ import annotations
@@ -191,3 +194,103 @@ class LinComb:
     def __repr__(self):
         return f"{type(self).__name__}({self.terms!r})"
 
+
+
+class Tensor(LinComb):
+    """Two-slot tensors over the algebra named by a subclass,
+    ``class STensor(Tensor, slot=SElem)``: keys are pairs of slot keys,
+    multiplied, sorted and printed slot by slot.  The slot's key functions
+    are bound once, so the hot key product looks up no attributes."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, slot, **kwargs):
+        super().__init_subclass__(**kwargs)
+        mul, sort, fmt = slot.key_mul, slot.sort_key, slot.format_key
+        cls.unit_key = (slot.unit_key, slot.unit_key)
+        cls.key_mul = staticmethod(lambda a, b: (mul(a[0], b[0]), mul(a[1], b[1])))
+        cls.sort_key = staticmethod(lambda key: (sort(key[0]), sort(key[1])))
+        cls.format_key = staticmethod(lambda key: f"{fmt(key[0])} (x) {fmt(key[1])}")
+
+
+# -- bialgebra law kit --------------------------------------------------------
+
+
+class DoubleBialgebra:
+    """Two bialgebra structures on one algebra with unit key ``()``: the key
+    product ``mul`` and two ``(coproduct, counit)`` pairs over keys, ``delta``
+    (substitution type) and ``Delta`` (Hopf type, acting on the left factor
+    of ``delta`` in cointeraction).  A coproduct maps a key to a two-slot
+    tensor, a counit maps a key to a number.  Mutable, so that tracing tools
+    can swap the held functions for wrappers."""
+
+    def __init__(self, mul, delta, Delta):
+        self.mul = mul
+        self.delta, self.eps_delta = delta
+        self.Delta, self.eps_Delta = Delta
+
+
+def coassociative(coproduct, key) -> bool:
+    """(D x id) D = (id x D) D on ``key``, for the coproduct D."""
+    lhs: dict = {}
+    rhs: dict = {}
+    for (a, b), c in coproduct(key).terms.items():
+        for (a1, a2), c2 in coproduct(a).terms.items():
+            add_term(lhs, (a1, a2, b), c * c2)
+        for (b1, b2), c2 in coproduct(b).terms.items():
+            add_term(rhs, (a, b1, b2), c * c2)
+    return lhs == rhs
+
+
+def counital(coproduct, counit, key) -> bool:
+    """Both counit laws on ``key``: (e x id) D = id = (id x e) D."""
+    left: dict = {}
+    right: dict = {}
+    for (a, b), c in coproduct(key).terms.items():
+        add_term(left, b, c * counit(a))
+        add_term(right, a, c * counit(b))
+    return left == right == {key: 1}
+
+
+def antipode_law(side: DoubleBialgebra, antipode, key) -> bool:
+    """m (S x id) Delta = e_Delta * 1 on ``key``; ``antipode`` maps a key to
+    a linear combination."""
+    acc: dict = {}
+    for (a, b), c in side.Delta(key).terms.items():
+        for s, cs in antipode(a).terms.items():
+            add_term(acc, side.mul(s, b), c * cs)
+    return acc == LinComb.one(side.eps_Delta(key)).terms
+
+
+def cointeraction(side: DoubleBialgebra, key) -> bool:
+    """Both halves of the cointeraction of ``Delta`` with ``delta`` on ``key``:
+    (Delta x id) delta = m_13 (delta x delta) Delta, and
+    (e_Delta x id) delta = e_Delta * 1."""
+    lhs: dict = {}
+    counit_side: dict = {}
+    for (a, b), c in side.delta(key).terms.items():
+        for (a1, a2), c2 in side.Delta(a).terms.items():
+            add_term(lhs, (a1, a2, b), c * c2)
+        add_term(counit_side, b, c * side.eps_Delta(a))
+    rhs: dict = {}
+    for (u, v), c in side.Delta(key).terms.items():
+        dv = side.delta(v).terms
+        for (u1, u2), cu in side.delta(u).terms.items():
+            for (v1, v2), cv in dv.items():
+                add_term(rhs, (u1, v1, side.mul(u2, v2)), c * cu * cv)
+    return lhs == rhs and counit_side == LinComb.one(side.eps_Delta(key)).terms
+
+
+def is_morphism(phi, source: DoubleBialgebra, target: DoubleBialgebra, key) -> bool:
+    """(phi x phi) D = D phi on ``key`` for both coproduct pairs, where
+    ``phi`` maps a source key to a linear combination of target keys."""
+    for src, tgt in ((source.Delta, target.Delta), (source.delta, target.delta)):
+        lhs: dict = {}
+        for (a, b), c in src(key).terms.items():
+            pb = phi(b).terms
+            for ka, ca in phi(a).terms.items():
+                for kb, cb in pb.items():
+                    add_term(lhs, (ka, kb), c * ca * cb)
+        if lhs != phi(key).map_keys(tgt, target=LinComb).terms:
+            return False
+    return True

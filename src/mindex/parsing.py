@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from .bialgebra import SElem, forest_mono
 from .exact import Poly
-from .monomials import Alpha, CPoly, trim
-from .trees import Forest, HCKElem, RootedTree, corolla, forest, ladder
+from .monomials import Alpha, trim
+from .trees import Forest, RootedTree, corolla, forest, ladder
 from .words import NCPoly, Word
 
 
@@ -209,15 +209,6 @@ def parse_monomial(text: str) -> Alpha:
     return a
 
 
-def parse_cpoly(text: str) -> CPoly:
-    if text.strip() == "0":
-        return CPoly.zero()
-    sc = _Scanner(text)
-    out = _lincomb(sc, _monomial, lambda k, c: CPoly.basis(k, c), unit_allowed=False)
-    sc.end()
-    return out
-
-
 # -- forest monomials ---------------------------------------------------------
 
 
@@ -292,20 +283,6 @@ def parse_tree_forest(text: str) -> Forest:
     f = _tree_forest(sc)
     sc.end()
     return f
-
-
-def parse_hck_elem(text: str) -> HCKElem:
-    if text.strip() == "0":
-        return HCKElem.zero()
-    sc = _Scanner(text)
-    out = _lincomb(
-        sc,
-        _tree_forest,
-        lambda k, c: HCKElem.basis(() if k is None else k, c),
-        unit_allowed=True,
-    )
-    sc.end()
-    return out
 
 
 # -- polynomials ----------------------------------------------------------------

@@ -6,8 +6,9 @@ equality.  Forests are sorted tuples of trees, the empty forest being the
 unit.  ``cut_coproduct`` is the admissible-cut coproduct defined through
 the grafting cocycle (with a direct edge-cut oracle for cross-checking);
 ``contract_coproduct`` extracts vertex partitions into subtrees and
-contracts them.  ``strict_order_poly`` maps a forest to the polynomial
-counting strictly increasing labelings.
+contracts them; ``TREE_SIDE`` describes the pair to the law kit of ``linear``.
+``strict_order_poly`` maps a forest to the polynomial counting strictly
+increasing labelings.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .exact import Poly, indefinite_sum
-from .linear import LinComb, add_term
+from .linear import DoubleBialgebra, LinComb, Tensor, add_term
 from .monomials import (
     Alpha,
     alpha_deg,
@@ -131,46 +132,16 @@ class HCKElem(LinComb):
         return cls.basis((t,), coeff)
 
 
-class HCKTensor(LinComb):
+class HCKTensor(Tensor, slot=HCKElem):
+    """Two-slot tensors of forests."""
+
     __slots__ = ()
-
-    unit_key = ((), ())
-
-    @staticmethod
-    def key_mul(a, b):
-        return (forest_mul(a[0], b[0]), forest_mul(a[1], b[1]))
-
-    @staticmethod
-    def sort_key(key):
-        return (forest_key(key[0]), forest_key(key[1]))
-
-    @staticmethod
-    def format_key(key) -> str:
-        return f"{format_forest(key[0])} (x) {format_forest(key[1])}"
 
     def to_json(self):
         return [
             [str(c), format_forest(k[0]), format_forest(k[1])]
             for k, c in self.sorted_terms()
         ]
-
-
-class HCKTensor3(LinComb):
-    __slots__ = ()
-
-    unit_key = ((), (), ())
-
-    @staticmethod
-    def key_mul(a, b):
-        return tuple(forest_mul(x, y) for x, y in zip(a, b))
-
-    @staticmethod
-    def sort_key(key):
-        return tuple(forest_key(f) for f in key)
-
-    @staticmethod
-    def format_key(key) -> str:
-        return " (x) ".join(format_forest(f) for f in key)
 
 
 # -- statistics -----------------------------------------------------------
@@ -368,10 +339,6 @@ def cut_coproduct(f: Forest) -> HCKTensor:
     return out
 
 
-def cut_coproduct_elem(e: HCKElem) -> HCKTensor:
-    return e.map_keys(cut_coproduct, target=HCKTensor)
-
-
 def _tree_edges(t: RootedTree) -> tuple[list[list[int]], list[int]]:
     """Explicit children lists and parent array, vertices in preorder."""
     children: list[list[int]] = []
@@ -489,10 +456,6 @@ def contract_coproduct(f: Forest) -> HCKTensor:
     return out
 
 
-def contract_coproduct_elem(e: HCKElem) -> HCKTensor:
-    return e.map_keys(contract_coproduct, target=HCKTensor)
-
-
 def counit_cut(e: HCKElem) -> Fraction:
     """Coefficient of the empty forest."""
     return e.coeff(())
@@ -505,6 +468,13 @@ def counit_contract(e: HCKElem) -> Fraction:
         if all(t is LEAF or t == LEAF for t in f):
             total += c
     return total
+
+
+TREE_SIDE = DoubleBialgebra(
+    forest_mul,
+    (contract_coproduct, lambda f: counit_contract(HCKElem.basis(f))),
+    (cut_coproduct, lambda f: counit_cut(HCKElem.basis(f))),
+)
 
 
 # -- the polynomial invariant ---------------------------------------------

@@ -1,9 +1,9 @@
-import itertools
 import random
 from fractions import Fraction
 
 from mindex import monomials as M
 from mindex.bialgebra import (
+    FOREST_SIDE,
     Character,
     SElem,
     STensor,
@@ -21,22 +21,14 @@ from mindex.bialgebra import (
     forest_mono,
     graft_coproduct,
     sub_coproduct,
-    _block_coproduct_fm,
+    _antipode_fm,
 )
-from mindex.linear import add_term
+from mindex.linear import antipode_law, coassociative, counital
 from mindex.monomials import alpha_deg, alpha_len, alpha_weight
+from mindex.selfcheck import alphas_up_to
 
 fm = forest_mono
 block = SElem.block
-
-
-def alphas_up_to(max_len, max_idx):
-    for n in range(1, max_len + 1):
-        for combo in itertools.combinations_with_replacement(range(max_idx + 1), n):
-            exps = [0] * (max(combo) + 1)
-            for i in combo:
-                exps[i] += 1
-            yield tuple(exps)
 
 
 def test_bar_product():
@@ -111,35 +103,37 @@ def test_antipode_fixtures():
 def test_exhaustive_bialgebra_laws():
     """Coassociativity, counits, homogeneity and the antipode law for both
     coproducts, on every monomial with letter count and indices at most 4."""
+    side = FOREST_SIDE
     for a in alphas_up_to(4, 4):
-        e = block(a)
+        key = (a,)
         for which, cp, eps in (
-            ("sub", sub_coproduct, counit_sub),
-            ("graft", graft_coproduct, counit_graft),
+            ("sub", side.delta, side.eps_delta),
+            ("graft", side.Delta, side.eps_Delta),
         ):
-            rows = cp(e)
-            lhs: dict = {}
-            rhs: dict = {}
-            for (l, r), c in rows.terms.items():
-                for (l1, l2), c2 in _block_coproduct_fm(l, which).terms.items():
-                    add_term(lhs, (l1, l2, r), c * c2)
-                for (r1, r2), c2 in _block_coproduct_fm(r, which).terms.items():
-                    add_term(rhs, (l, r1, r2), c * c2)
-            assert lhs == rhs, (a, which)
-            left = SElem.zero()
-            right = SElem.zero()
-            for (l, r), c in rows.terms.items():
-                left = left + SElem.basis(r, c * eps(SElem.basis(l)))
-                right = right + SElem.basis(l, c * eps(SElem.basis(r)))
-            assert left == e == right, (a, which)
-        for (l, r), _c in sub_coproduct(e).terms.items():
+            assert coassociative(cp, key), (a, which)
+            assert counital(cp, eps, key), (a, which)
+        for (l, r), _c in sub_coproduct(block(a)).terms.items():
             assert fm_weight(l) + fm_weight(r) == alpha_weight(a)
             assert fm_deg(l) + fm_deg(r) == alpha_deg(a)
-        acc = SElem.zero()
-        for (l, r), c in graft_coproduct(e).terms.items():
+        for (l, r), _c in graft_coproduct(block(a)).terms.items():
             assert fm_len(l) + fm_len(r) == alpha_len(a)
-            acc = acc + antipode(SElem.basis(l)).scale(c) * SElem.basis(r)
-        assert acc == SElem.zero(), a  # counit_graft vanishes on every block
+        assert antipode_law(side, _antipode_fm, key), a
+
+
+def test_law_kit_negative_controls():
+    """A coproduct with one coefficient changed breaks coassociativity, and a
+    wrong counit breaks the counit law."""
+    side = FOREST_SIDE
+    key = fm([(2, 0, 1)])
+    rows = dict(side.Delta(key).terms)
+    rows[(fm([(1, 1)]), fm([(1,)]))] += 1
+    broken = STensor(rows)
+
+    def perturbed(f):
+        return broken if f == key else side.Delta(f)
+
+    assert not coassociative(perturbed, key)
+    assert not counital(side.delta, side.eps_Delta, key)
 
 
 def test_cointeraction_exhaustive():
@@ -205,15 +199,9 @@ def _multisets_of_alphas(total_len, total_weight, k):
 
 
 def _alphas_bounded(max_len, max_weight):
-    out = []
-    for n in range(1, max_len + 1):
-        for combo in itertools.combinations_with_replacement(range(max_weight + 1), n):
-            if sum(combo) <= max_weight:
-                exps = [0] * (max(combo) + 1)
-                for i in combo:
-                    exps[i] += 1
-                out.append(tuple(exps))
-    return sorted(set(out))
+    return sorted(
+        a for a in alphas_up_to(max_len, max_weight) if alpha_weight(a) <= max_weight
+    )
 
 
 def test_convolution_units():

@@ -171,7 +171,23 @@ def test_cli_selfcheck_failure_exit_code(monkeypatch, capsys):
     def broken(rng, size):
         raise AssertionError("forced")
 
-    monkeypatch.setattr(sc, "SUITES", [("broken", broken)])
+    def crashing(rng, size):
+        rng.randint(1, 0)
+
+    monkeypatch.setattr(sc, "SUITES", [("broken", broken), ("crashing", crashing)])
     assert main(["selfcheck"]) == 3
     out = capsys.readouterr().out
     assert "FAIL broken: forced" in out
+    assert "ERROR crashing: ValueError: " in out
+    assert "0/2 suites passed" in out
+
+
+def test_cli_selfcheck_rejects_sizes_below_one(capsys):
+    for size in ("0", "-1", "three"):
+        with pytest.raises(SystemExit) as exc:
+            main(["selfcheck", "--size", size])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--size: expected an integer >= 1" in captured.err
+        assert "Traceback" not in captured.err

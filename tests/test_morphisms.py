@@ -1,11 +1,10 @@
-import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from mindex.bialgebra import SElem, antipode, convolve, eps_sub_character, forest_mono
+from mindex.bialgebra import FOREST_SIDE, SElem, antipode, convolve, eps_sub_character, forest_mono
 from mindex.exact import Poly, bernoulli
 from mindex.monomials import alpha_deg, alpha_factorial, trim
 from mindex.morphisms import (
@@ -17,11 +16,16 @@ from mindex.morphisms import (
     poly_invariant,
     poly_invariant_fm,
     tree_lift,
+    tree_lift_by_symmetry,
     tree_lift_elem,
+    tree_lift_fm,
     tree_lift_is_morphism,
 )
+from mindex.linear import is_morphism
+from mindex.selfcheck import alphas_up_to, law_lift_routes
 from mindex.trees import (
     LEAF,
+    TREE_SIDE,
     HCKElem,
     bplus,
     corolla,
@@ -32,15 +36,6 @@ from mindex.trees import (
 
 T_A = bplus([ladder(2), LEAF])
 T_B = bplus([corolla(3)])
-
-
-def alphas_up_to(max_len, max_idx):
-    for n in range(1, max_len + 1):
-        for combo in itertools.combinations_with_replacement(range(max_idx + 1), n):
-            exps = [0] * (max(combo) + 1)
-            for i in combo:
-                exps[i] += 1
-            yield tuple(exps)
 
 
 def corolla_monomial(n):
@@ -96,11 +91,11 @@ def test_tree_lift_degree_obstruction():
 
 
 def test_tree_lift_weighting_agreement_exhaustive():
-    # both closed formulas are compared inside tree_lift; force it on every
-    # degree-0 profile with at most six letters
+    # plane counts times the lift coefficient against inverse symmetry
+    # factors, on every degree-0 profile with at most six letters
     for a in alphas_up_to(6, 5):
         if alpha_deg(a) == 0:
-            tree_lift(a)
+            assert tree_lift(a) == tree_lift_by_symmetry(a), a
 
 
 def test_poly_invariant_table():
@@ -170,6 +165,11 @@ def test_mu_table():
         assert mu_value(a) == want, a
         for route in ("via-ck", "fixed-point", "direct"):
             assert poly_invariant(a, route)(-1) == want, (a, route)
+
+
+def test_mu_matches_fixed_point_invariant_at_minus_one():
+    for a in alphas_up_to(4, 4):
+        assert mu_value(a) == poly_invariant(a, "fixed-point")(-1), a
 
 
 def test_mu_families():
@@ -252,6 +252,23 @@ def test_lift_is_double_morphism():
     for a in alphas_up_to(4, 3):
         if alpha_deg(a) == 0:
             assert tree_lift_is_morphism(a), a
+
+
+def test_lift_negative_controls():
+    """A perturbed lift breaks the morphism law, and a perturbed weighting
+    breaks the lift-route comparison."""
+    key = forest_mono([(1, 1)])
+
+    def doubled(f):
+        return tree_lift_fm(f).scale(2 if f == key else 1)
+
+    assert not is_morphism(doubled, FOREST_SIDE, TREE_SIDE, key)
+
+    def plane_only(a):  # drops the factorial ratio of lift_coeff
+        return HCKElem([((t,), plane_count(t)) for t in trees_with_monomial(a)])
+
+    with pytest.raises(AssertionError):
+        law_lift_routes(random.Random(0), 3, reference=plane_only)
 
 
 def test_lift_multiplicative_on_forests():

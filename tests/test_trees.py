@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from mindex.exact import Poly, binomial_poly, indefinite_sum
-from mindex.linear import add_term
+from mindex.linear import coassociative, cointeraction, counital
 from mindex.monomials import alpha_factorial, alpha_len, alpha_weight
 from mindex.morphisms import lift_coeff
+from mindex.selfcheck import trees_up_to
 from mindex.trees import (
     LEAF,
+    TREE_SIDE,
     HCKElem,
     HCKTensor,
     RootedTree,
@@ -23,7 +25,6 @@ from mindex.trees import (
     cut_coproduct_oracle,
     fertility_monomial,
     forest,
-    forest_mul,
     ladder,
     plane_count,
     strict_order_poly,
@@ -34,11 +35,6 @@ from mindex.trees import (
 
 T_A = bplus([ladder(2), LEAF])  # root of fertility 2 with a leaf and a chain
 T_B = bplus([corolla(3)])  # stalk carrying a cherry
-
-
-def trees_up_to(n):
-    for m in range(1, n + 1):
-        yield from all_trees(m)
 
 
 def test_bplus_fixtures():
@@ -171,41 +167,16 @@ def test_cut_cocycle_identity():
 
 
 def test_coassociativity_and_counits_through_five_vertices():
+    side = TREE_SIDE
     for t in trees_up_to(5):
-        f = (t,)
-        for cp, eps in (
-            (cut_coproduct, counit_cut),
-            (contract_coproduct, counit_contract),
-        ):
-            rows = cp(f)
-            lhs: dict = {}
-            rhs: dict = {}
-            for (a, b), c in rows.terms.items():
-                for (a1, a2), c2 in cp(a).terms.items():
-                    add_term(lhs, (a1, a2, b), c * c2)
-                for (b1, b2), c2 in cp(b).terms.items():
-                    add_term(rhs, (a, b1, b2), c * c2)
-            assert lhs == rhs, (t, cp.__name__)
-            left = HCKElem.zero()
-            right = HCKElem.zero()
-            for (a, b), c in rows.terms.items():
-                left = left + HCKElem.basis(b, c * eps(HCKElem.basis(a)))
-                right = right + HCKElem.basis(a, c * eps(HCKElem.basis(b)))
-            assert left == HCKElem.basis(f) == right, (t, cp.__name__)
+        for cp, eps in ((side.Delta, side.eps_Delta), (side.delta, side.eps_delta)):
+            assert coassociative(cp, (t,)), (t, cp.__name__)
+            assert counital(cp, eps, (t,)), (t, cp.__name__)
 
 
 def test_tree_cointeraction_through_four_vertices():
     for t in trees_up_to(4):
-        lhs: dict = {}
-        for (a, b), c in contract_coproduct((t,)).terms.items():
-            for (a1, a2), c2 in cut_coproduct(a).terms.items():
-                add_term(lhs, (a1, a2, b), c * c2)
-        rhs: dict = {}
-        for (u, v), c in cut_coproduct((t,)).terms.items():
-            for (u1, u2), cu in contract_coproduct(u).terms.items():
-                for (v1, v2), cv in contract_coproduct(v).terms.items():
-                    add_term(rhs, (u1, v1, forest_mul(u2, v2)), c * cu * cv)
-        assert lhs == rhs, t
+        assert cointeraction(TREE_SIDE, (t,)), t
 
 
 def test_counit_fixtures():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mindex.selfcheck import _compose_lin
 from mindex.words import (
     ArityError,
     NCPoly,
@@ -172,13 +173,6 @@ def test_operad_associativity_exhaustive_small():
                     inner = compose(word_, [w(p1), w(p2)])
                     args = [w((0,))] * (len(p1) + len(p2))
                     assert _compose_lin(inner, args) == inner
-
-
-def _compose_lin(p, args):
-    out = NCPoly.zero()
-    for word_, c in p.terms.items():
-        out = out + compose(word_, args).scale(c)
-    return out
 
 
 def test_equivariance_instance():
