@@ -8,8 +8,12 @@ unit.  Two coproducts live here:
   splits a block into parts, down-shifts each part and records the shift
   orders on the left, with a 1/beta! normalization;
 * ``graft_coproduct`` (Hopf type, dual to the grafting product): splits a
-  block into k+1 parts, applies the k-fold down-shift to the first part,
-  and bar-multiplies the rest, weighted 1/k!.
+  block x^a into a head x^h, k-fold down-shifted on the left, and a multiset
+  of k nonzero parts bar-multiplied on the right.  The kernel sums over
+  heads and k by the exponential formula,
+  ``a!/h! D^k(x^h) (x) [t^k x^(a-h)] exp(t sum_beta [beta]/beta!)``,
+  so each multiset of parts is visited once; the ordered-splits form
+  weighted 1/k! is kept as ``graft_coproduct_block_oracle``.
 
 Both extend multiplicatively to forests and make the space a double
 bialgebra, described to the law kit of ``linear`` by ``FOREST_SIDE``; the
@@ -27,11 +31,14 @@ from .linear import DoubleBialgebra, LinComb, Tensor, add_term, cointeraction
 from .monomials import (
     Alpha,
     alpha_deg,
+    alpha_factorial,
     alpha_key,
     alpha_len,
+    alpha_sub,
     alpha_weight,
     format_alpha,
     ordered_splits,
+    submonomials,
     _shift_down_power_mono,
 )
 
@@ -152,8 +159,64 @@ def _expand_rows(rows: dict, per_slot, base: Fraction) -> None:
 
 @lru_cache(maxsize=None)
 def _graft_coproduct_block(a: Alpha) -> STensor:
-    """Hopf coproduct of a single block: primitive part plus splittings
-    whose first piece is k-fold down-shifted, the k others bar-multiplied."""
+    """Hopf coproduct of a single block, by the exponential formula:
+
+        Delta(x^a) = x^a (x) 1 + 1 (x) x^a
+                     + sum_{0 != h < a} sum_{k >= 1} a!/h! D^k(x^h) (x) E_k(a - h),
+
+    D the down-shift and E_k the k-part multiset splits of ``_leftover_parts``.
+    """
+    rows: dict = {
+        ((forest_mono([a])), ()): Fraction(1),
+        ((), forest_mono([a])): Fraction(1),
+    }
+    a_fact = alpha_factorial(a)
+    for h in submonomials(a):
+        if not h or h == a:
+            continue
+        g = alpha_sub(a, h)
+        base = Fraction(a_fact, alpha_factorial(h))
+        for k in range(1, alpha_len(g) + 1):
+            image = _shift_down_power_mono(h, k)
+            if image.is_zero():
+                break
+            for right, w in _leftover_parts(g, k):
+                bw = base * w
+                for mono, c in image.terms.items():
+                    add_term(rows, ((mono,), right), bw * c)
+    out = STensor.__new__(STensor)
+    out.terms = rows
+    return out
+
+
+@lru_cache(maxsize=None)
+def _leftover_parts(g: Alpha, k: int) -> tuple:
+    """E_k(g) = [t^k x^g] exp(t sum_beta [beta]/beta!): the splits of ``g``
+    into a multiset of k nonzero parts r_j, weighted 1/(prod r_j! prod mult!).
+
+    With i the first index where g_i > 0, differentiating in x_i gives
+    g_i E_k(g) = sum_{beta <= g, beta_i > 0} beta_i [beta]/beta! E_{k-1}(g - beta).
+    Returns the (forest, weight) pairs as a tuple, shared by the cache.
+    """
+    if k == 0:
+        return () if g else (((), Fraction(1)),)
+    if alpha_len(g) < k:
+        return ()
+    i = next(j for j, e in enumerate(g) if e)
+    out: dict = {}
+    for beta in submonomials(g):
+        if len(beta) <= i or not beta[i]:
+            continue
+        w = Fraction(beta[i], alpha_factorial(beta) * g[i])
+        for f, c in _leftover_parts(alpha_sub(g, beta), k - 1):
+            add_term(out, fm_mul((beta,), f), w * c)
+    return tuple(out.items())
+
+
+def graft_coproduct_block_oracle(a: Alpha) -> STensor:
+    """Hopf coproduct of a single block by its ordered splits, weighted 1/k!:
+    the first piece k-fold down-shifted, the k others bar-multiplied.  Test
+    oracle for the exponential formula of ``_graft_coproduct_block``."""
     rows: dict = {
         ((forest_mono([a])), ()): Fraction(1),
         ((), forest_mono([a])): Fraction(1),
@@ -220,13 +283,16 @@ def _antipode_fm(f: ForestMono) -> SElem:
     cached = _antipode_memo.get(f)
     if cached is not None:
         return cached
-    acc = SElem.basis(f, -1)
+    data: dict = {f: Fraction(-1)}
     for (left, right), c in _block_coproduct_fm(f, "graft").terms.items():
         if not left or not right:
             continue
-        acc = acc - _antipode_fm(left).scale(c) * SElem.basis(right)
-    _antipode_memo[f] = acc
-    return acc
+        for s, cs in _antipode_fm(left).terms.items():
+            add_term(data, fm_mul(s, right), -c * cs)
+    out = SElem.__new__(SElem)
+    out.terms = data
+    _antipode_memo[f] = out
+    return out
 
 
 class Character:

@@ -22,7 +22,6 @@ from .exact import Poly
 from .parsing import (
     ParseError,
     parse_forest_mono,
-    parse_monomial,
     parse_ncpoly,
     parse_selem,
     parse_tree,
@@ -180,6 +179,8 @@ def _cmd_antipode(args) -> str:
 def _cmd_dims(args) -> str:
     nmax, kmax = args.nmax, args.kmax
     kmin = 1 - nmax
+    if kmax < kmin:
+        args.parser.error(f"argument --kmax: expected an integer >= 1 - nmax = {kmin}, got {kmax}")
     header = ["n\\k"] + [str(k) for k in range(kmin, kmax + 1)]
     rows = [
         [str(n)] + [str(W.graded_dim(n, k)) for k in range(kmin, kmax + 1)]
@@ -268,8 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("antipode", _cmd_antipode, help="antipode of a forest-monomial combination")
     p.add_argument("expr")
     p = add("dims", _cmd_dims, help="table of graded dimensions")
-    p.add_argument("--nmax", type=int, default=5)
+    p.add_argument("--nmax", type=_positive_int, default=5)
     p.add_argument("--kmax", type=int, default=5)
+    p.set_defaults(parser=p)
     p = add("ds", _cmd_ds, help="expand the grafting fixed-point series")
     p.add_argument("--coeffs", required=True)
     p.add_argument("--max-vertices", type=int, default=4)

@@ -346,7 +346,9 @@ def law_sub_homogeneity(rng, size):
 def law_graft_homogeneity(rng, size):
     for _ in range(6):
         a = rand_alpha(rng, min(size, 4))
-        for (l, r), _ in B.graft_coproduct(B.SElem.block(a)).terms.items():
+        rows = B.graft_coproduct(B.SElem.block(a))
+        assert rows == B.graft_coproduct_block_oracle(a), a
+        for (l, r), _ in rows.terms.items():
             assert B.fm_len(l) + B.fm_len(r) == alpha_len(a), (a, l, r)
             if l and r:
                 assert B.fm_deg(l) + B.fm_deg(r) == alpha_deg(a), (a, l, r)

@@ -19,7 +19,7 @@ from mindex.bialgebra import SElem, STensor, forest_mono
 from mindex.exact import Poly, bernoulli
 from mindex.linear import add_term
 from mindex.monomials import alpha_deg, alpha_factorial, trim
-from mindex.selfcheck import SUITES, run_selfcheck
+from mindex.selfcheck import SUITES, alphas_up_to, run_selfcheck
 from mindex.trees import HCKElem, LEAF, bplus, corolla, ladder
 from mindex.words import NCPoly
 
@@ -39,15 +39,6 @@ def lin(c1, c0):
 
 def quad(c2, c1, c0):
     return Poly({2: Fraction(c2), 1: Fraction(c1), 0: Fraction(c0)})
-
-
-def alphas_up_to(max_len, max_idx):
-    for n in range(1, max_len + 1):
-        for combo in itertools.combinations_with_replacement(range(max_idx + 1), n):
-            exps = [0] * (max(combo) + 1)
-            for i in combo:
-                exps[i] += 1
-            yield tuple(exps)
 
 
 def corolla_monomial(n):
@@ -245,7 +236,7 @@ def test_criterion_04_tree_lift_fixtures():
     checked = 0
     for a in alphas_up_to(6, 5):
         if alpha_deg(a) == 0:
-            Mo.tree_lift(a)  # compares the two closed weightings internally
+            assert Mo.tree_lift(a) == Mo.tree_lift_by_symmetry(a), a
             checked += 1
     assert checked == 19
     _ok(4, "tree lift fixtures and weighting agreement on all 19 profiles, length <= 6")

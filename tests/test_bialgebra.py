@@ -20,6 +20,7 @@ from mindex.bialgebra import (
     fm_weight,
     forest_mono,
     graft_coproduct,
+    graft_coproduct_block_oracle,
     sub_coproduct,
     _antipode_fm,
 )
@@ -72,6 +73,15 @@ def test_graft_coproduct_fixtures():
             (fm([(1,)]), fm([(1,), (1,)])): 1,
         }
     )
+
+
+def test_graft_kernel_matches_ordered_splits_oracle():
+    """The exponential-formula kernel equals the ordered-splits oracle row for
+    row on every block of at most 6 letters with indices at most 3."""
+    blocks = list(alphas_up_to(6, 3))
+    assert len(blocks) == 209
+    for a in blocks:
+        assert graft_coproduct(block(a)) == graft_coproduct_block_oracle(a), a
 
 
 def test_counits():

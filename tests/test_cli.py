@@ -191,3 +191,19 @@ def test_cli_selfcheck_rejects_sizes_below_one(capsys):
         assert captured.out == ""
         assert "--size: expected an integer >= 1" in captured.err
         assert "Traceback" not in captured.err
+
+
+def test_cli_dims_rejects_empty_tables(capsys):
+    for argv, message in (
+        (["dims", "--nmax", "0"], "--nmax: expected an integer >= 1"),
+        (["dims", "--nmax", "-1"], "--nmax: expected an integer >= 1"),
+        (["dims", "--nmax", "2", "--kmax", "-5"], "--kmax: expected an integer >= 1 - nmax = -1"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+    assert render_command(["dims", "--nmax", "2", "--kmax", "-1"]) == "n\\k\t-1\n1\t0\n2\t1"

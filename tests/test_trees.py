@@ -26,9 +26,7 @@ from mindex.trees import (
     fertility_monomial,
     forest,
     ladder,
-    plane_count,
     strict_order_poly,
-    symmetry_factor,
     tree_stats,
     trees_with_monomial,
 )
