@@ -192,8 +192,7 @@ def _cmd_dims(args) -> str:
 
 
 def _cmd_ds(args) -> str:
-    coeffs = [Fraction(c.strip()) for c in args.coeffs.split(",") if c.strip()]
-    sol = Mo.ds_solve(coeffs, args.max_vertices)
+    sol = Mo.ds_solve(args.coeffs, args.max_vertices)
     if args.json:
         return json.dumps(sol.to_json(), sort_keys=True)
     return "\n".join(sol.lines())
@@ -212,6 +211,17 @@ def _positive_int(text: str) -> int:
     if not text.strip().isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return int(text)
+
+
+def _rationals(text: str) -> list[Fraction]:
+    """Option type for coefficient lists: one or more comma-separated
+    rationals, none of them blank."""
+    try:
+        return [Fraction(c) for c in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of rationals, got {text!r}"
+        ) from None
 
 
 def _cmd_selfcheck(args) -> str:
@@ -273,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=5)
     p.set_defaults(parser=p)
     p = add("ds", _cmd_ds, help="expand the grafting fixed-point series")
-    p.add_argument("--coeffs", required=True)
-    p.add_argument("--max-vertices", type=int, default=4)
+    p.add_argument("--coeffs", type=_rationals, required=True)
+    p.add_argument("--max-vertices", type=_positive_int, default=4)
     p = add("stats", _cmd_stats, help="symmetry factor, plane count and fertility monomial")
     p.add_argument("expr")
     p = add("selfcheck", _cmd_selfcheck, help="run all law suites")

@@ -410,6 +410,7 @@ def law_cut_coassoc(rng, size):
 
 def law_contract_coassoc(rng, size):
     for t in trees_up_to(min(5, size + 1)):
+        assert T.contract_coproduct((t,)) == T.contract_coproduct_oracle(t), t
         assert coassociative(T.TREE_SIDE.delta, (t,)), t
         assert counital(T.TREE_SIDE.delta, T.TREE_SIDE.eps_delta, (t,)), t
 

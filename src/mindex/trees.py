@@ -6,7 +6,9 @@ equality.  Forests are sorted tuples of trees, the empty forest being the
 unit.  ``cut_coproduct`` is the admissible-cut coproduct defined through
 the grafting cocycle (with a direct edge-cut oracle for cross-checking);
 ``contract_coproduct`` extracts vertex partitions into subtrees and
-contracts them; ``TREE_SIDE`` describes the pair to the law kit of ``linear``.
+contracts them, by one post-order pass that counts partial rows per
+subtree (with the walk over all kept-edge sets as its oracle);
+``TREE_SIDE`` describes the pair to the law kit of ``linear``.
 ``strict_order_poly`` maps a forest to the polynomial counting strictly
 increasing labelings.
 """
@@ -178,13 +180,11 @@ def plane_count(t: RootedTree) -> int:
 def fertility_monomial(t: RootedTree) -> Alpha:
     """Exponent vector counting vertices by fertility."""
     counts: dict[int, int] = {}
-
-    def walk(node: RootedTree):
-        counts[node.fertility()] = counts.get(node.fertility(), 0) + 1
-        for c in node.children:
-            walk(c)
-
-    walk(t)
+    stack = [t]
+    while stack:
+        kids = stack.pop().children
+        counts[len(kids)] = counts.get(len(kids), 0) + 1
+        stack.extend(kids)
     return trim(counts.get(i, 0) for i in range(max(counts) + 1))
 
 
@@ -407,9 +407,9 @@ def cut_coproduct_oracle(t: RootedTree) -> HCKTensor:
     return out
 
 
-@lru_cache(maxsize=None)
-def _contract_coproduct_tree(t: RootedTree) -> HCKTensor:
-    """Contraction-extraction coproduct of one tree.
+def contract_coproduct_oracle(t: RootedTree) -> HCKTensor:
+    """Direct enumeration of the 2^(n-1) kept-edge sets; test oracle for the
+    post-order kernel.
 
     A partition of the vertices into connected blocks is a choice of kept
     edges; the left factor contracts each block, the right factor is the
@@ -444,6 +444,77 @@ def _contract_coproduct_tree(t: RootedTree) -> HCKTensor:
         add_term(rows, ((left,), block_trees), Fraction(1))
     out = HCKTensor.__new__(HCKTensor)
     out.terms = rows
+    return out
+
+
+def _merged(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(a + b))
+
+
+@lru_cache(maxsize=None)
+def _contract_coproduct_tree(t: RootedTree) -> HCKTensor:
+    """Contraction-extraction coproduct of one tree, by one post-order pass.
+
+    A partition of the vertices into connected blocks is a choice of kept
+    edges; the left factor contracts each block, the right factor is the
+    forest of blocks.  Each subtree gets a table of partial rows
+    ``(qkids, okids, closed) -> count``: the quotient subtrees below the
+    block that holds its root (the open block), the children of the open
+    block, and the forest of closed blocks.  A kept child edge grafts the
+    child's open block onto the parent's and pools the rest; a cut one closes
+    the child's open block and hangs the child's quotient below the parent's.
+
+    Within the call a tree is a number, interned by the sorted numbers of
+    its children, so the keys are sorted tuples of ints that hash in O(1).
+    """
+    ids: dict[tuple[int, ...], int] = {}
+
+    def intern(kids: tuple[int, ...]) -> int:
+        i = ids.get(kids)
+        if i is None:
+            i = ids[kids] = len(ids)
+        return i
+
+    # per subtree: (qkids, id of B[okids], id of B[qkids], closed, count)
+    # rows, the open block and the quotient already closed up for the parent
+    tables: dict[RootedTree, list] = {}
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        if node in tables:
+            stack.pop()
+            continue
+        pending = [c for c in node.children if c not in tables]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        partial: dict = {((), (), ()): 1}
+        for c in node.children:
+            folded: dict = {}
+            for (q, o, closed), m in partial.items():
+                for cq, co_id, cq_id, cclosed, cm in tables[c]:
+                    both = _merged(closed, cclosed)
+                    k = m * cm
+                    # the edge to c kept, then cut
+                    key = (_merged(q, cq), _merged(o, (co_id,)), both)
+                    folded[key] = folded.get(key, 0) + k
+                    key = (_merged(q, (cq_id,)), o, _merged(both, (co_id,)))
+                    folded[key] = folded.get(key, 0) + k
+            partial = folded
+        tables[node] = [
+            (q, intern(o), intern(q), closed, m) for (q, o, closed), m in partial.items()
+        ]
+
+    trees: list[RootedTree] = []
+    for kids in ids:  # children are interned before their parents
+        trees.append(RootedTree(trees[i] for i in kids))
+    counts: dict = {}
+    for _, o_id, q_id, closed, m in tables[t]:
+        key = ((trees[q_id],), forest(trees[i] for i in closed + (o_id,)))
+        counts[key] = counts.get(key, 0) + m
+    out = HCKTensor.__new__(HCKTensor)
+    out.terms = {key: Fraction(m) for key, m in counts.items()}
     return out
 
 

@@ -207,3 +207,23 @@ def test_cli_dims_rejects_empty_tables(capsys):
         assert message in captured.err
         assert "Traceback" not in captured.err
     assert render_command(["dims", "--nmax", "2", "--kmax", "-1"]) == "n\\k\t-1\n1\t0\n2\t1"
+
+
+def test_cli_ds_rejects_bad_options(capsys):
+    for argv, message in (
+        (["ds", "--coeffs", "1,1", "--max-vertices", "0"], "--max-vertices: expected an integer >= 1"),
+        (["ds", "--coeffs", "abc"], "--coeffs: expected a comma-separated list of rationals"),
+        (["ds", "--coeffs", "1,1/0"], "--coeffs: expected a comma-separated list of rationals"),
+        (["ds", "--coeffs", ","], "--coeffs: expected a comma-separated list of rationals"),
+        (["ds", "--coeffs", "1,,1"], "--coeffs: expected a comma-separated list of rationals"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+    assert render_command(["ds", "--coeffs", " 1, 1/2 ", "--max-vertices", "2"]) == (
+        render_command(["ds", "--coeffs", "1,1/2", "--max-vertices", "2"])
+    )

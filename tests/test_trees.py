@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from mindex.trees import (
     bplus,
     build_forest,
     contract_coproduct,
+    contract_coproduct_oracle,
     corolla,
     counit_contract,
     counit_cut,
@@ -145,6 +148,53 @@ def test_contract_coproduct_fixtures():
             ((l2,), forest([l2, LEAF])): 2,
         }
     )
+
+
+def _random_tree(rng, n):
+    parent = [rng.randrange(v) for v in range(1, n)]
+    kids = [[] for _ in range(n)]
+    for v in range(n - 1, 0, -1):
+        kids[parent[v - 1]].append(v)
+
+    def build(v):
+        return RootedTree(build(c) for c in kids[v])
+
+    return build(0)
+
+
+def test_contract_equals_subset_oracle():
+    for t in trees_up_to(8):
+        assert contract_coproduct((t,)) == contract_coproduct_oracle(t), t
+    rng = random.Random(11)
+    for _ in range(24):
+        t = _random_tree(rng, rng.randint(9, 11))
+        assert contract_coproduct((t,)) == contract_coproduct_oracle(t), t
+
+
+def _partitions(n, largest=None):
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def test_contract_closed_forms_at_twenty_vertices():
+    n = 20
+    want = {}
+    for parts in _partitions(n):
+        coeff = math.factorial(len(parts))
+        for mult in Counter(parts).values():
+            coeff //= math.factorial(mult)
+        want[((ladder(len(parts)),), forest(ladder(p) for p in parts))] = coeff
+    assert len(want) == 627
+    assert contract_coproduct((ladder(n),)) == HCKTensor(want)
+    want = {
+        ((corolla(n - s),), forest([corolla(s + 1)] + [LEAF] * (n - 1 - s))): math.comb(n - 1, s)
+        for s in range(n)
+    }
+    assert contract_coproduct((corolla(n),)) == HCKTensor(want)
 
 
 def test_cut_equals_edge_cut_oracle_through_five_vertices():
