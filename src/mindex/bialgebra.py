@@ -12,7 +12,8 @@ unit.  Two coproducts live here:
   of k nonzero parts bar-multiplied on the right.  The kernel sums over
   heads and k by the exponential formula,
   ``a!/h! D^k(x^h) (x) [t^k x^(a-h)] exp(t sum_beta [beta]/beta!)``,
-  so each multiset of parts is visited once; the ordered-splits form
+  reading the multiset splits from ``monomials.multiset_splits``, so
+  each multiset of parts is visited once; the ordered-splits form
   weighted 1/k! is kept as ``graft_coproduct_block_oracle``.
 
 Both extend multiplicatively to forests and make the space a double
@@ -37,6 +38,7 @@ from .monomials import (
     alpha_sub,
     alpha_weight,
     format_alpha,
+    multiset_splits,
     ordered_splits,
     submonomials,
     _shift_down_power_mono,
@@ -164,7 +166,7 @@ def _graft_coproduct_block(a: Alpha) -> STensor:
         Delta(x^a) = x^a (x) 1 + 1 (x) x^a
                      + sum_{0 != h < a} sum_{k >= 1} a!/h! D^k(x^h) (x) E_k(a - h),
 
-    D the down-shift and E_k the k-part multiset splits of ``_leftover_parts``.
+    D the down-shift and E_k the k-part multiset splits of ``multiset_splits``.
     """
     rows: dict = {
         ((forest_mono([a])), ()): Fraction(1),
@@ -180,37 +182,13 @@ def _graft_coproduct_block(a: Alpha) -> STensor:
             image = _shift_down_power_mono(h, k)
             if image.is_zero():
                 break
-            for right, w in _leftover_parts(g, k):
+            for right, w in multiset_splits(g, k):
                 bw = base * w
                 for mono, c in image.terms.items():
                     add_term(rows, ((mono,), right), bw * c)
     out = STensor.__new__(STensor)
     out.terms = rows
     return out
-
-
-@lru_cache(maxsize=None)
-def _leftover_parts(g: Alpha, k: int) -> tuple:
-    """E_k(g) = [t^k x^g] exp(t sum_beta [beta]/beta!): the splits of ``g``
-    into a multiset of k nonzero parts r_j, weighted 1/(prod r_j! prod mult!).
-
-    With i the first index where g_i > 0, differentiating in x_i gives
-    g_i E_k(g) = sum_{beta <= g, beta_i > 0} beta_i [beta]/beta! E_{k-1}(g - beta).
-    Returns the (forest, weight) pairs as a tuple, shared by the cache.
-    """
-    if k == 0:
-        return () if g else (((), Fraction(1)),)
-    if alpha_len(g) < k:
-        return ()
-    i = next(j for j, e in enumerate(g) if e)
-    out: dict = {}
-    for beta in submonomials(g):
-        if len(beta) <= i or not beta[i]:
-            continue
-        w = Fraction(beta[i], alpha_factorial(beta) * g[i])
-        for f, c in _leftover_parts(alpha_sub(g, beta), k - 1):
-            add_term(out, fm_mul((beta,), f), w * c)
-    return tuple(out.items())
 
 
 def graft_coproduct_block_oracle(a: Alpha) -> STensor:
@@ -269,20 +247,15 @@ def counit_graft(e: SElem) -> Fraction:
     return e.coeff(())
 
 
-_antipode_memo: dict[ForestMono, SElem] = {}
-
-
 def antipode(e: SElem) -> SElem:
     """Antipode for the Hopf coproduct, by the connected recursion."""
     return e.map_keys(_antipode_fm)
 
 
+@lru_cache(maxsize=None)
 def _antipode_fm(f: ForestMono) -> SElem:
     if not f:
         return SElem.one()
-    cached = _antipode_memo.get(f)
-    if cached is not None:
-        return cached
     data: dict = {f: Fraction(-1)}
     for (left, right), c in _block_coproduct_fm(f, "graft").terms.items():
         if not left or not right:
@@ -291,7 +264,6 @@ def _antipode_fm(f: ForestMono) -> SElem:
             add_term(data, fm_mul(s, right), -c * cs)
     out = SElem.__new__(SElem)
     out.terms = data
-    _antipode_memo[f] = out
     return out
 
 

@@ -309,7 +309,7 @@ def main(argv=None) -> int:
     except SelfcheckFailure as exc:
         print(exc)
         return 3
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

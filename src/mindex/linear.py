@@ -252,6 +252,13 @@ def counital(coproduct, counit, key) -> bool:
     return left == right == {key: 1}
 
 
+def graded(coproduct, key, grade) -> bool:
+    """grade(a) + grade(b) = grade(key) on every row a (x) b of the coproduct
+    of ``key``, for an additive ``grade`` of keys."""
+    total = grade(key)
+    return all(grade(a) + grade(b) == total for a, b in coproduct(key).terms)
+
+
 def antipode_law(side: DoubleBialgebra, antipode, key) -> bool:
     """m (S x id) Delta = e_Delta * 1 on ``key``; ``antipode`` maps a key to
     a linear combination."""

@@ -5,6 +5,12 @@ the exponent of x_i; the empty tuple is the unit marker and never appears
 inside nonzero polynomial terms.  The module carries the shift derivations,
 the two pre-Lie products (substitution-style and Novikov-style) with their
 multi-argument extensions, and the iterated reduced splitting coproduct.
+
+It also holds the splitting kernels.  ``multiset_splits`` gives the splits
+of a block into a multiset of k parts by the exponential formula; the graft
+coproduct, the fixed-point invariant and ``mu`` all read it.
+``ordered_splits`` walks the ordered splits; it serves the substitution
+coproduct, ``shuffle_splits`` and the graft oracle.
 """
 
 from __future__ import annotations
@@ -115,6 +121,31 @@ def ordered_splits(a: Alpha, parts: int):
         for part in split:
             denom *= alpha_factorial(part)
         yield split, Fraction(base, denom)
+
+
+@lru_cache(maxsize=None)
+def multiset_splits(g: Alpha, k: int) -> tuple:
+    """E_k(g) = [t^k x^g] exp(t sum_beta [beta]/beta!): the splits of ``g``
+    into a multiset of k nonzero parts r_j, weighted 1/(prod r_j! prod mult!),
+    by the exponential formula (Stanley, EC2 5.1).
+
+    With i the first index where g_i > 0, differentiating in x_i gives
+    g_i E_k(g) = sum_{beta <= g, beta_i > 0} beta_i [beta]/beta! E_{k-1}(g - beta).
+    Returns (sorted parts, weight) pairs as a tuple, shared by the cache.
+    """
+    if k == 0:
+        return () if g else (((), Fraction(1)),)
+    if alpha_len(g) < k:
+        return ()
+    i = next(j for j, e in enumerate(g) if e)
+    out: dict = {}
+    for beta in submonomials(g):
+        if len(beta) <= i or not beta[i]:
+            continue
+        w = Fraction(beta[i], alpha_factorial(beta) * g[i])
+        for f, c in multiset_splits(alpha_sub(g, beta), k - 1):
+            add_term(out, tuple(sorted(f + (beta,), key=alpha_key)), w * c)
+    return tuple(out.items())
 
 
 class CPoly(LinComb):

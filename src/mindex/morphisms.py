@@ -36,10 +36,9 @@ from .monomials import (
     alpha_deg,
     alpha_factorial,
     alpha_key,
-    alpha_len,
     alpha_sub,
     format_alpha,
-    submonomials,
+    multiset_splits,
     trim,
     unit_exp,
 )
@@ -113,46 +112,22 @@ def tree_lift_elem(e: SElem) -> HCKElem:
 # -- the polynomial invariant, three ways ----------------------------------
 
 
-class _SeriesCoeffs:
-    """Coefficient extraction for powers of sum_beta v(beta)/beta! X^beta."""
-
-    def __init__(self, value_fn, zero, one):
-        self.value_fn = value_fn
-        self.zero = zero
-        self.one = one
-        self._memo: dict[tuple[Alpha, int], object] = {}
-
-    def power_coeff(self, gamma: Alpha, i: int):
-        if i == 0:
-            return self.one if not gamma else self.zero
-        key = (gamma, i)
-        v = self._memo.get(key)
-        if v is not None:
-            return v
-        total = self.zero
-        for first in submonomials(gamma):
-            if not first:
-                continue
-            if alpha_len(first) > alpha_len(gamma) - (i - 1):
-                continue
-            rest = self.power_coeff(alpha_sub(gamma, first), i - 1)
-            if not rest:
-                continue
-            total = total + self.value_fn(first) * Fraction(1, alpha_factorial(first)) * rest
-        self._memo[key] = total
-        return total
-
-
 @lru_cache(maxsize=None)
 def _invariant_fixed_point(a: Alpha) -> Poly:
-    """Extract the x^a coefficient of the summation fixed-point series."""
-    series = _SeriesCoeffs(_invariant_fixed_point, Poly.zero(), Poly.const(1))
+    """Extract the x^a coefficient of the summation fixed-point series.
+
+    The x^gamma coefficient of (sum_beta P_beta x^beta/beta!)^i / i! is
+    the sum of w * prod_{b in f} P_b over (f, w) in ``multiset_splits(gamma, i)``.
+    """
     inner = Poly.zero()
     for i, e in enumerate(a):
         if not e:
             continue
-        coeff = series.power_coeff(alpha_sub(a, unit_exp(i)), i)
-        inner = inner + coeff.scale(Fraction(1, math.factorial(i)))
+        for f, w in multiset_splits(alpha_sub(a, unit_exp(i)), i):
+            term = Poly.const(w)
+            for b in f:
+                term = term * _invariant_fixed_point(b)
+            inner = inner + term
     return indefinite_sum(inner).scale(alpha_factorial(a))
 
 
@@ -211,20 +186,21 @@ def poly_invariant_fm(f: ForestMono, route: str = "via-ck") -> Poly:
 def mu_value(a: Alpha) -> Fraction:
     """Value at x^a of the convolution inverse of the substitution counit.
 
-    Computed from the sign-flipped fixed point; the law suites check it
-    against the invariant evaluated at -1.
+    Computed from the sign-flipped fixed point, with the same sums over
+    ``multiset_splits`` as ``_invariant_fixed_point``; the law suites check
+    it against the invariant evaluated at -1.
     """
     a = trim(a)
     if not a:
         raise ValueError("characters take value 1 on the unit; pass a monomial")
-    series = _SeriesCoeffs(mu_value, Fraction(0), Fraction(1))
     inner = Fraction(0)
     for i, e in enumerate(a):
         if not e:
             continue
-        inner += Fraction(1, math.factorial(i)) * series.power_coeff(
-            alpha_sub(a, unit_exp(i)), i
-        )
+        for f, w in multiset_splits(alpha_sub(a, unit_exp(i)), i):
+            for b in f:
+                w *= mu_value(b)
+            inner += w
     return -alpha_factorial(a) * inner
 
 

@@ -21,7 +21,7 @@ from . import parsing
 from . import trees as T
 from . import words as W
 from .exact import Poly, bernoulli, binomial_poly, indefinite_sum
-from .linear import antipode_law, coassociative, cointeraction, counital
+from .linear import antipode_law, coassociative, cointeraction, counital, graded
 from .monomials import CPoly, alpha_deg, alpha_factorial, alpha_len, alpha_weight
 from .trees import HCKElem, HCKTensor, RootedTree
 from .words import NCPoly
@@ -338,20 +338,16 @@ def law_bialgebra_counits(rng, size):
 def law_sub_homogeneity(rng, size):
     for _ in range(6):
         a = rand_alpha(rng, min(size, 4))
-        for (l, r), _ in B.sub_coproduct(B.SElem.block(a)).terms.items():
-            assert B.fm_weight(l) + B.fm_weight(r) == alpha_weight(a), (a, l, r)
-            assert B.fm_deg(l) + B.fm_deg(r) == alpha_deg(a), (a, l, r)
+        for grade in (B.fm_weight, B.fm_deg):
+            assert graded(B.FOREST_SIDE.delta, (a,), grade), (a, grade.__name__)
 
 
 def law_graft_homogeneity(rng, size):
     for _ in range(6):
         a = rand_alpha(rng, min(size, 4))
-        rows = B.graft_coproduct(B.SElem.block(a))
-        assert rows == B.graft_coproduct_block_oracle(a), a
-        for (l, r), _ in rows.terms.items():
-            assert B.fm_len(l) + B.fm_len(r) == alpha_len(a), (a, l, r)
-            if l and r:
-                assert B.fm_deg(l) + B.fm_deg(r) == alpha_deg(a), (a, l, r)
+        assert B.FOREST_SIDE.Delta((a,)) == B.graft_coproduct_block_oracle(a), a
+        for grade in (B.fm_len, B.fm_deg):
+            assert graded(B.FOREST_SIDE.Delta, (a,), grade), (a, grade.__name__)
 
 
 def law_antipode(rng, size):

@@ -148,6 +148,9 @@ class HCKTensor(Tensor, slot=HCKElem):
 
 # -- statistics -----------------------------------------------------------
 
+# Dicts, not lru_cache: these recurse once per tree level, and on CPython
+# 3.11 each call through an lru_cache counts twice against the recursion
+# limit, so deep trees would fail at about 500 levels instead of 1,000.
 _sym_memo: dict = {}
 _plane_memo: dict = {}
 
@@ -236,9 +239,6 @@ def _forests_of_size(n: int) -> tuple[Forest, ...]:
     return tuple(sorted(set(out), key=forest_key))
 
 
-_twm_memo: dict[Alpha, tuple[RootedTree, ...]] = {}
-
-
 def trees_with_monomial(a: Alpha) -> tuple[RootedTree, ...]:
     """All trees whose fertility monomial is x^a; empty unless deg(a) = 0."""
     a = trim(a)
@@ -249,14 +249,10 @@ def trees_with_monomial(a: Alpha) -> tuple[RootedTree, ...]:
     return _twm(a)
 
 
+@lru_cache(maxsize=None)
 def _twm(a: Alpha) -> tuple[RootedTree, ...]:
-    cached = _twm_memo.get(a)
-    if cached is not None:
-        return cached
     if a == (1,):
-        out: tuple[RootedTree, ...] = (LEAF,)
-        _twm_memo[a] = out
-        return out
+        return (LEAF,)
     found = set()
     for r in range(1, len(a)):
         if a[r] == 0:
@@ -264,9 +260,7 @@ def _twm(a: Alpha) -> tuple[RootedTree, ...]:
         rest = alpha_sub(a, unit_exp(r))
         for kids in _child_multisets(rest, r, None):
             found.add(RootedTree(kids))
-    out = tuple(sorted(found, key=lambda t: t.enc))
-    _twm_memo[a] = out
-    return out
+    return tuple(sorted(found, key=lambda t: t.enc))
 
 
 def _child_multisets(rest: Alpha, r: int, low: RootedTree | None):

@@ -24,8 +24,8 @@ from mindex.bialgebra import (
     sub_coproduct,
     _antipode_fm,
 )
-from mindex.linear import antipode_law, coassociative, counital
-from mindex.monomials import alpha_deg, alpha_len, alpha_weight
+from mindex.linear import antipode_law, coassociative, counital, graded
+from mindex.monomials import alpha_len, alpha_weight
 from mindex.selfcheck import alphas_up_to
 
 fm = forest_mono
@@ -122,17 +122,16 @@ def test_exhaustive_bialgebra_laws():
         ):
             assert coassociative(cp, key), (a, which)
             assert counital(cp, eps, key), (a, which)
-        for (l, r), _c in sub_coproduct(block(a)).terms.items():
-            assert fm_weight(l) + fm_weight(r) == alpha_weight(a)
-            assert fm_deg(l) + fm_deg(r) == alpha_deg(a)
-        for (l, r), _c in graft_coproduct(block(a)).terms.items():
-            assert fm_len(l) + fm_len(r) == alpha_len(a)
+        assert graded(side.delta, key, fm_weight), a
+        assert graded(side.delta, key, fm_deg), a
+        assert graded(side.Delta, key, fm_len), a
         assert antipode_law(side, _antipode_fm, key), a
 
 
 def test_law_kit_negative_controls():
-    """A coproduct with one coefficient changed breaks coassociativity, and a
-    wrong counit breaks the counit law."""
+    """A coproduct with one coefficient changed breaks coassociativity, a
+    wrong counit breaks the counit law, and a row of the wrong weight breaks
+    homogeneity."""
     side = FOREST_SIDE
     key = fm([(2, 0, 1)])
     rows = dict(side.Delta(key).terms)
@@ -144,6 +143,9 @@ def test_law_kit_negative_controls():
 
     assert not coassociative(perturbed, key)
     assert not counital(side.delta, side.eps_Delta, key)
+    skewed = STensor({**side.delta(key).terms, (fm([(1,)]), fm([(1,)])): 1})
+    assert graded(side.delta, key, fm_weight)
+    assert not graded(lambda f: skewed, key, fm_weight)
 
 
 def test_cointeraction_exhaustive():

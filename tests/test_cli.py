@@ -130,6 +130,14 @@ def test_exit_codes():
     assert main(["compose", "[1,0]", "[0]"]) == 1
 
 
+def test_cli_deep_tree_exits_1_without_traceback():
+    cmd = [sys.executable, "-m", "mindex.cli", "stats", "ladder:3000"]
+    out = subprocess.run(cmd, capture_output=True, text=True)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
+
+
 def test_cli_subprocess_deterministic():
     cmd = [sys.executable, "-m", "mindex.cli", "psi", "x2*x1*x0^2"]
     a = subprocess.run(cmd, capture_output=True, text=True)

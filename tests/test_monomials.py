@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,9 +7,14 @@ from mindex.monomials import (
     CPoly,
     abelianize,
     alpha_deg,
+    alpha_factorial,
+    alpha_key,
+    alpha_len,
     format_alpha,
+    multiset_splits,
     novikov,
     novikov_multi,
+    ordered_splits,
     prelie,
     prelie_multi,
     shift_down,
@@ -16,6 +22,7 @@ from mindex.monomials import (
     shuffle_splits,
     trim,
 )
+from mindex.selfcheck import alphas_up_to
 from mindex.words import NCPoly, brace
 
 x = CPoly.variable
@@ -135,6 +142,19 @@ def test_shuffle_splits():
     assert shuffle_splits(x(4), 0) == {((0, 0, 0, 0, 1),): Fraction(1)}
     # multinomial coefficients: x0^3 into three parts
     assert shuffle_splits(x(0) ** 3, 2) == {((1,), (1,), (1,)): Fraction(6)}
+
+
+def test_multiset_splits_match_ordered_splits():
+    """The exponential-formula kernel against the ordered splits grouped by
+    sorted parts, each weighted multinomial/(g! k!), for every part count."""
+    for g in alphas_up_to(6, 3):
+        for k in range(alpha_len(g) + 2):
+            oracle: dict = {}
+            for split, mult in ordered_splits(g, k):
+                key = tuple(sorted(split, key=alpha_key))
+                w = mult / (alpha_factorial(g) * math.factorial(k))
+                oracle[key] = oracle.get(key, 0) + w
+            assert dict(multiset_splits(g, k)) == oracle, (g, k)
 
 
 def test_degree_additive_for_novikov():
