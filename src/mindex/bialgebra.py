@@ -270,21 +270,17 @@ def _antipode_fm(f: ForestMono) -> SElem:
 class Character:
     """Algebra map to the rationals, fixed by its values on single blocks.
 
-    Values are computed lazily and cached; the generating family of blocks
-    is infinite, so no table is materialized.
+    Values are computed lazily, and memoised only where ``on_block`` is;
+    the generating family of blocks is infinite, so no table is
+    materialized.
     """
 
     def __init__(self, on_block: Callable[[Alpha], Fraction], name: str = ""):
         self._on_block = on_block
-        self._cache: dict[Alpha, Fraction] = {}
         self.name = name
 
     def block(self, a: Alpha) -> Fraction:
-        v = self._cache.get(a)
-        if v is None:
-            v = Fraction(self._on_block(a))
-            self._cache[a] = v
-        return v
+        return self._on_block(a)
 
     def forest(self, f: ForestMono) -> Fraction:
         out = Fraction(1)
@@ -308,6 +304,7 @@ def convolve(f: Character, g: Character, which: str = "graft") -> Character:
         raise ValueError("which must be 'graft' or 'sub'")
     block_fn = _graft_coproduct_block if which == "graft" else _sub_coproduct_block
 
+    @lru_cache(maxsize=None)
     def on_block(a: Alpha) -> Fraction:
         total = Fraction(0)
         for (left, right), c in block_fn(a).terms.items():

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .bialgebra import SElem, forest_mono
 from .exact import Poly
 from .monomials import Alpha, trim
-from .trees import Forest, RootedTree, corolla, forest, ladder
+from .trees import LEAF, Forest, RootedTree, corolla, forest, ladder
 from .words import NCPoly, Word
 
 
@@ -247,18 +247,26 @@ def parse_selem(text: str) -> SElem:
 
 
 def _tree(sc: _Scanner) -> RootedTree:
-    if sc.match("ladder:"):
-        return ladder(sc.integer())
-    if sc.match("corolla:"):
-        return corolla(sc.integer())
-    sc.expect("B[")
-    children = []
-    if not sc.match("]"):
-        children.append(_tree(sc))
-        while sc.match(","):
-            children.append(_tree(sc))
-        sc.expect("]")
-    return RootedTree(children)
+    open_lists: list[list[RootedTree]] = []  # children of each open "B["
+    while True:
+        if sc.match("ladder:"):
+            t = ladder(sc.integer())
+        elif sc.match("corolla:"):
+            t = corolla(sc.integer())
+        else:
+            sc.expect("B[")
+            if not sc.match("]"):
+                open_lists.append([])
+                continue
+            t = LEAF
+        while open_lists:  # t is complete: add it, then close what ends here
+            open_lists[-1].append(t)
+            if sc.match(","):
+                break
+            sc.expect("]")
+            t = RootedTree(open_lists.pop())
+        else:  # nothing left open: t is the whole tree
+            return t
 
 
 def parse_tree(text: str) -> RootedTree:

@@ -3,7 +3,10 @@
 A tree is a multiset of child subtrees; the canonical form stores children
 sorted by their nested-tuple encodings, so structural equality is encoding
 equality.  Forests are sorted tuples of trees, the empty forest being the
-unit.  ``cut_coproduct`` is the admissible-cut coproduct defined through
+unit.  Statistics, printing and the contraction kernel walk the vertices
+on an explicit stack (``_vertices``), so they work at any depth; the cut
+coproduct, the order polynomial and the oracles recurse once per level.
+``cut_coproduct`` is the admissible-cut coproduct defined through
 the grafting cocycle (with a direct edge-cut oracle for cross-checking);
 ``contract_coproduct`` extracts vertex partitions into subtrees and
 contracts them, by one post-order pass that counts partial rows per
@@ -55,7 +58,17 @@ class RootedTree:
         return self.enc < other.enc
 
     def __str__(self):
-        return "B[" + ",".join(str(c) for c in self.children) + "]"
+        parts, stack = [], [self]  # trees still to print, and their "," and "]"
+        while stack:
+            top = stack.pop()
+            if isinstance(top, str):
+                parts.append(top)
+            else:
+                parts.append("B[")
+                stack.append("]")
+                for i, c in enumerate(reversed(top.children)):
+                    stack += (",", c) if i else (c,)
+        return "".join(parts)
 
     def __repr__(self):
         return f"RootedTree({self})"
@@ -148,46 +161,42 @@ class HCKTensor(Tensor, slot=HCKElem):
 
 # -- statistics -----------------------------------------------------------
 
-# Dicts, not lru_cache: these recurse once per tree level, and on CPython
-# 3.11 each call through an lru_cache counts twice against the recursion
-# limit, so deep trees would fail at about 500 levels instead of 1,000.
-_sym_memo: dict = {}
-_plane_memo: dict = {}
+def _vertices(t: RootedTree):
+    """Every vertex of t in pre-order, last child first, by an explicit
+    stack: each subtree is a run of ``size`` vertices headed by its root."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children)
 
 
 def symmetry_factor(t: RootedTree) -> int:
-    """Order of the automorphism group."""
-    v = _sym_memo.get(t.enc)
-    if v is None:
-        v = 1
-        for child, mult in t.child_multiplicities():
-            v *= symmetry_factor(child) ** mult * math.factorial(mult)
-        _sym_memo[t.enc] = v
+    """Order of the automorphism group: Π mult! over the child classes of each vertex."""
+    v = 1
+    for node in _vertices(t):
+        for _, mult in node.child_multiplicities():
+            v *= math.factorial(mult)
     return v
 
 
 def plane_count(t: RootedTree) -> int:
-    """Number of plane embeddings: orderings of children up to repeats."""
-    v = _plane_memo.get(t.enc)
-    if v is None:
-        mults = [m for _, m in t.child_multiplicities()]
-        v = math.factorial(sum(mults))
-        for m in mults:
-            v //= math.factorial(m)
-        for child, mult in t.child_multiplicities():
-            v *= plane_count(child) ** mult
-        _plane_memo[t.enc] = v
+    """Number of plane embeddings: each vertex's child orderings up to repeats."""
+    v = 1
+    for node in _vertices(t):
+        w = math.factorial(len(node.children))
+        for _, mult in node.child_multiplicities():
+            w //= math.factorial(mult)
+        v *= w
     return v
 
 
 def fertility_monomial(t: RootedTree) -> Alpha:
     """Exponent vector counting vertices by fertility."""
     counts: dict[int, int] = {}
-    stack = [t]
-    while stack:
-        kids = stack.pop().children
-        counts[len(kids)] = counts.get(len(kids), 0) + 1
-        stack.extend(kids)
+    for node in _vertices(t):
+        k = len(node.children)
+        counts[k] = counts.get(k, 0) + 1
     return trim(counts.get(i, 0) for i in range(max(counts) + 1))
 
 
@@ -206,21 +215,17 @@ def all_trees(n: int) -> tuple[RootedTree, ...]:
         return ()
     if n == 1:
         return (LEAF,)
-    out = []
-    for f in _forests_of_size(n - 1):
-        out.append(RootedTree(f))
-    return tuple(sorted(set(out), key=lambda t: t.enc))
+    out = (RootedTree(f) for f in _forests_of_size(n - 1))
+    return tuple(sorted(out, key=lambda t: t.enc))
 
 
 @lru_cache(maxsize=None)
 def _forests_of_size(n: int) -> tuple[Forest, ...]:
-    """All multisets of trees with total vertex count n."""
+    """All multisets of trees with total vertex count n, each once: ``rec``
+    takes nondecreasing indices into the (size, enc)-ordered distinct trees."""
     if n == 0:
         return ((),)
-    pool = []
-    for m in range(1, n + 1):
-        pool.extend(all_trees(m))
-    pool.sort(key=lambda t: (t.size, t.enc))
+    pool = [t for m in range(1, n + 1) for t in all_trees(m)]
     out: list[Forest] = []
 
     def rec(remaining: int, start: int, acc: list[RootedTree]):
@@ -236,7 +241,7 @@ def _forests_of_size(n: int) -> tuple[Forest, ...]:
             acc.pop()
 
     rec(n, 0, [])
-    return tuple(sorted(set(out), key=forest_key))
+    return tuple(sorted(out, key=forest_key))
 
 
 def trees_with_monomial(a: Alpha) -> tuple[RootedTree, ...]:
@@ -334,20 +339,16 @@ def cut_coproduct(f: Forest) -> HCKTensor:
 
 
 def _tree_edges(t: RootedTree) -> tuple[list[list[int]], list[int]]:
-    """Explicit children lists and parent array, vertices in preorder."""
-    children: list[list[int]] = []
-    parent: list[int] = []
-
-    def walk(node: RootedTree, par: int) -> int:
-        idx = len(children)
-        children.append([])
-        parent.append(par)
-        for c in node.children:
-            cidx = walk(c, idx)
-            children[idx].append(cidx)
-        return idx
-
-    walk(t, -1)
+    """Explicit children lists and parent array, vertices in pre-order."""
+    nodes = list(_vertices(t))
+    children: list[list[int]] = [[] for _ in nodes]
+    parent = [-1] * len(nodes)
+    for v, node in enumerate(nodes):
+        c = v + 1
+        for kid in reversed(node.children):
+            children[v].append(c)
+            parent[c] = v
+            c += kid.size
     return children, parent
 
 
@@ -470,41 +471,33 @@ def _contract_coproduct_tree(t: RootedTree) -> HCKTensor:
         return i
 
     # per subtree: (qkids, id of B[okids], id of B[qkids], closed, count)
-    # rows, the open block and the quotient already closed up for the parent
-    tables: dict[RootedTree, list] = {}
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        if node in tables:
-            stack.pop()
-            continue
-        pending = [c for c in node.children if c not in tables]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
+    # rows, the open block and the quotient already closed up for the parent;
+    # in reverse pre-order, a vertex's children's tables top the stack
+    tables: list[list] = []
+    for node in reversed(list(_vertices(t))):
         partial: dict = {((), (), ()): 1}
-        for c in node.children:
+        for _ in node.children:
             folded: dict = {}
+            ctable = tables.pop()
             for (q, o, closed), m in partial.items():
-                for cq, co_id, cq_id, cclosed, cm in tables[c]:
+                for cq, co_id, cq_id, cclosed, cm in ctable:
                     both = _merged(closed, cclosed)
                     k = m * cm
-                    # the edge to c kept, then cut
+                    # the edge to the child kept, then cut
                     key = (_merged(q, cq), _merged(o, (co_id,)), both)
                     folded[key] = folded.get(key, 0) + k
                     key = (_merged(q, (cq_id,)), o, _merged(both, (co_id,)))
                     folded[key] = folded.get(key, 0) + k
             partial = folded
-        tables[node] = [
-            (q, intern(o), intern(q), closed, m) for (q, o, closed), m in partial.items()
-        ]
+        tables.append(
+            [(q, intern(o), intern(q), closed, m) for (q, o, closed), m in partial.items()]
+        )
 
     trees: list[RootedTree] = []
     for kids in ids:  # children are interned before their parents
         trees.append(RootedTree(trees[i] for i in kids))
     counts: dict = {}
-    for _, o_id, q_id, closed, m in tables[t]:
+    for _, o_id, q_id, closed, m in tables.pop():
         key = ((trees[q_id],), forest(trees[i] for i in closed + (o_id,)))
         counts[key] = counts.get(key, 0) + m
     out = HCKTensor.__new__(HCKTensor)

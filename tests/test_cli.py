@@ -131,11 +131,19 @@ def test_exit_codes():
 
 
 def test_cli_deep_tree_exits_1_without_traceback():
-    cmd = [sys.executable, "-m", "mindex.cli", "stats", "ladder:3000"]
+    # the cut coproduct still recurses once per tree level
+    cmd = [sys.executable, "-m", "mindex.cli", "Delta-ck", "ladder:1100"]
     out = subprocess.run(cmd, capture_output=True, text=True)
     assert out.returncode == 1
     assert out.stderr.startswith("error:")
     assert "Traceback" not in out.stderr
+
+
+def test_cli_stats_of_a_very_deep_tree():
+    cmd = [sys.executable, "-m", "mindex.cli", "stats", "ladder:200000"]
+    out = subprocess.run(cmd, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "symmetry=1\tplane=1\tmonomial=x1^199999*x0\n"
 
 
 def test_cli_subprocess_deterministic():

@@ -9,6 +9,7 @@ from mindex.exact import Poly, binomial_poly, indefinite_sum
 from mindex.linear import coassociative, cointeraction, counital
 from mindex.monomials import alpha_factorial, alpha_len, alpha_weight
 from mindex.morphisms import lift_coeff
+from mindex.parsing import parse_tree
 from mindex.selfcheck import trees_up_to
 from mindex.trees import (
     LEAF,
@@ -29,7 +30,9 @@ from mindex.trees import (
     fertility_monomial,
     forest,
     ladder,
+    plane_count,
     strict_order_poly,
+    symmetry_factor,
     tree_stats,
     trees_with_monomial,
 )
@@ -61,6 +64,45 @@ def test_tree_stats_fixtures():
     assert tree_stats(T_A) == (1, 2, (2, 1, 1))
     assert tree_stats(corolla(3)) == (2, 1, (2, 0, 1))
     assert tree_stats(T_B) == (2, 1, (2, 1, 1))
+
+
+def _symmetry_reference(t):
+    """Recursive definition: Π sym(child)^mult · mult! over child classes."""
+    out = 1
+    for child, mult in t.child_multiplicities():
+        out *= _symmetry_reference(child) ** mult * math.factorial(mult)
+    return out
+
+
+def _plane_reference(t):
+    """Recursive definition: multinomial of the child classes times
+    Π plane(child)^mult."""
+    mults = [m for _, m in t.child_multiplicities()]
+    out = math.factorial(sum(mults))
+    for child, mult in t.child_multiplicities():
+        out = out // math.factorial(mult) * _plane_reference(child) ** mult
+    return out
+
+
+def test_walk_stats_match_recursive_reference():
+    for t in trees_up_to(10):
+        assert symmetry_factor(t) == _symmetry_reference(t), t
+        assert plane_count(t) == _plane_reference(t), t
+
+
+def test_deep_trees_print_and_parse():
+    """Text, not trees, is compared: ``==`` on two distinct deep trees
+    compares their nested encodings recursively."""
+    comb = LEAF
+    for _ in range(5000):
+        comb = bplus((LEAF, comb))
+    for t, text, stats in (
+        (ladder(5000), "B[" * 5000 + "]" * 5000, (1, 1, (1, 4999))),
+        (comb, "B[B[]," * 5000 + "B[]" + "]" * 5000, (2, 2**4999, (5001, 0, 5000))),
+    ):
+        assert str(t) == text
+        assert str(parse_tree(text)) == text
+        assert tree_stats(t) == stats
 
 
 def test_enumeration_counts():
