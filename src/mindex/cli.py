@@ -1,13 +1,15 @@
 """Command-line front end.
 
-One subcommand per operation; expressions use the grammars of
-``mindex.parsing``.  Exit codes: 0 success, 1 computation error, 2 parse
-error or bad option, 3 selfcheck failure.
+One verb per operation, each a row of ``VERBS``; expressions use the
+grammars of ``mindex.parsing``.  Exit codes: 0 success, 1 computation error
+(running out of memory included), 2 parse error or bad option, 3 selfcheck
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -19,6 +21,7 @@ from . import morphisms as Mo
 from . import trees as T
 from . import words as W
 from .exact import Poly
+from .linear import LinComb, Tensor
 from .parsing import (
     ParseError,
     parse_forest_mono,
@@ -86,97 +89,31 @@ def factored_form(p: Poly) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _tensor_lines(t) -> str:
-    return "\n".join(f"{c} * {t.format_key(k)}" for k, c in t.sorted_terms())
+def _show(result, args) -> str:
+    """The text, or with ``--json`` the JSON, of a verb's result, by its type."""
+    if isinstance(result, str):
+        return result
+    if isinstance(result, Tensor):
+        if args.json:
+            return json.dumps(result.to_json())
+        return "\n".join(f"{c} * {result.format_key(k)}" for k, c in result.sorted_terms())
+    if isinstance(result, Poly):
+        if args.json:
+            return json.dumps(result.to_json(), sort_keys=True)
+        return f"{result}\n{factored_form(result)}" if args.factored else str(result)
+    if isinstance(result, LinComb):
+        if not args.json:
+            return str(result)
+        key = list if isinstance(result, W.NCPoly) else result.format_key
+        return json.dumps([[str(c), key(k)] for k, c in result.sorted_terms()])
+    if isinstance(result, Mo.DSSolution):
+        if args.json:
+            return json.dumps(result.to_json(), sort_keys=True)
+        return "\n".join(result.lines())
+    return json.dumps({"value": str(result)}) if args.json else str(result)
 
 
-def _print_poly(p: Poly, args) -> str:
-    if getattr(args, "json", False):
-        return json.dumps(p.to_json(), sort_keys=True)
-    if getattr(args, "factored", False):
-        return f"{p}\n{factored_form(p)}"
-    return str(p)
-
-
-def _cmd_compose(args) -> str:
-    w = parse_word(args.word)
-    ops = [parse_ncpoly(a) for a in args.args]
-    result = W.compose(w, ops)
-    if args.json:
-        return json.dumps([[str(c), list(k)] for k, c in result.sorted_terms()])
-    return str(result)
-
-
-def _cmd_brace(args) -> str:
-    w = parse_word(args.word)
-    ops = [parse_ncpoly(a) for a in args.args]
-    result = W.brace(w, ops)
-    if args.json:
-        return json.dumps([[str(c), list(k)] for k, c in result.sorted_terms()])
-    return str(result)
-
-
-def _cmd_delta_nmi(args) -> str:
-    e = parse_selem(args.expr)
-    t = B.sub_coproduct(e)
-    return json.dumps(t.to_json()) if args.json else _tensor_lines(t)
-
-
-def _cmd_graft_nmi(args) -> str:
-    e = parse_selem(args.expr)
-    t = B.graft_coproduct(e)
-    return json.dumps(t.to_json()) if args.json else _tensor_lines(t)
-
-
-def _cmd_delta_ck(args) -> str:
-    f = parse_tree_forest(args.expr)
-    t = T.contract_coproduct(f)
-    return json.dumps(t.to_json()) if args.json else _tensor_lines(t)
-
-
-def _cmd_cut_ck(args) -> str:
-    f = parse_tree_forest(args.expr)
-    t = T.cut_coproduct(f)
-    return json.dumps(t.to_json()) if args.json else _tensor_lines(t)
-
-
-def _cmd_psi(args) -> str:
-    f = parse_forest_mono(args.expr)
-    result = Mo.tree_lift_fm(f)
-    if args.json:
-        return json.dumps(
-            [[str(c), T.format_forest(k)] for k, c in result.sorted_terms()]
-        )
-    return str(result)
-
-
-def _cmd_phi_mi(args) -> str:
-    f = parse_forest_mono(args.expr)
-    return _print_poly(Mo.poly_invariant_fm(f, args.route), args)
-
-
-def _cmd_phi_ck(args) -> str:
-    f = parse_tree_forest(args.expr)
-    return _print_poly(T.strict_order_poly(f), args)
-
-
-def _cmd_mu(args) -> str:
-    f = parse_forest_mono(args.expr)
-    v = Mo.mu_character.forest(f)
-    return json.dumps({"value": str(v)}) if args.json else str(v)
-
-
-def _cmd_antipode(args) -> str:
-    e = parse_selem(args.expr)
-    result = Mo.antipode_via_mu(e)
-    if args.json:
-        return json.dumps(
-            [[str(c), B.format_fm(k)] for k, c in result.sorted_terms()]
-        )
-    return str(result)
-
-
-def _cmd_dims(args) -> str:
+def _dims(args) -> str:
     nmax, kmax = args.nmax, args.kmax
     kmin = 1 - nmax
     if kmax < kmin:
@@ -191,19 +128,26 @@ def _cmd_dims(args) -> str:
     return "\n".join("\t".join(r) for r in [header] + rows)
 
 
-def _cmd_ds(args) -> str:
-    sol = Mo.ds_solve(args.coeffs, args.max_vertices)
+def _stats(args) -> str:
+    s, p, m = T.tree_stats(parse_tree(args.expr))
+    fields = {"symmetry": s, "plane": p, "monomial": M.format_alpha(m)}
     if args.json:
-        return json.dumps(sol.to_json(), sort_keys=True)
-    return "\n".join(sol.lines())
+        return json.dumps(fields)
+    return "\t".join(f"{k}={v}" for k, v in fields.items())
 
 
-def _cmd_stats(args) -> str:
-    t = parse_tree(args.expr)
-    s, p, m = T.tree_stats(t)
-    if args.json:
-        return json.dumps({"symmetry": s, "plane": p, "monomial": M.format_alpha(m)})
-    return f"symmetry={s}\tplane={p}\tmonomial={M.format_alpha(m)}"
+class SelfcheckFailure(Exception):
+    pass
+
+
+def _selfcheck(args) -> str:
+    from .selfcheck import format_report, run_selfcheck
+
+    results = run_selfcheck(args.seed, args.size)
+    report = format_report(results)
+    if any(not ok for _, ok, _ in results):
+        raise SelfcheckFailure(report)
+    return report
 
 
 def _positive_int(text: str) -> int:
@@ -224,79 +168,72 @@ def _rationals(text: str) -> list[Fraction]:
         ) from None
 
 
-def _cmd_selfcheck(args) -> str:
-    from .selfcheck import format_report, run_selfcheck
+# Every verb: (name, help, run, arguments).  ``run`` maps the parsed options
+# to a result for ``_show``; it looks library functions up when it runs, so
+# that rebinding a module attribute (as a tracer does) reaches the CLI.
+# Each argument is (name or flag, add_argument keywords); every verb also
+# takes --json.
+_EXPR = [("expr", {})]
+_FACTORED = ("--factored", {"action": "store_true"})
+VERBS = [
+    ("compose", "operadic composition of a word with arguments",
+     lambda a: W.compose(parse_word(a.word), [parse_ncpoly(x) for x in a.args]),
+     [("word", {}), ("args", {"nargs": "+"})]),
+    ("brace", "brace operation of a word with arguments",
+     lambda a: W.brace(parse_word(a.word), [parse_ncpoly(x) for x in a.args]),
+     [("word", {}), ("args", {"nargs": "*"})]),
+    ("delta-nmi", "substitution coproduct of a forest monomial",
+     lambda a: B.sub_coproduct(parse_selem(a.expr)), _EXPR),
+    ("Delta-nmi", "Hopf coproduct of a forest monomial",
+     lambda a: B.graft_coproduct(parse_selem(a.expr)), _EXPR),
+    ("delta-ck", "contraction-extraction coproduct of a forest",
+     lambda a: T.contract_coproduct(parse_tree_forest(a.expr)), _EXPR),
+    ("Delta-ck", "admissible-cut coproduct of a forest",
+     lambda a: T.cut_coproduct(parse_tree_forest(a.expr)), _EXPR),
+    ("psi", "lift a monomial to the tree algebra",
+     lambda a: Mo.tree_lift_fm(parse_forest_mono(a.expr)), _EXPR),
+    ("phi-mi", "polynomial invariant of a monomial",
+     lambda a: Mo.poly_invariant_fm(parse_forest_mono(a.expr), a.route),
+     _EXPR + [("--route", {"choices": list(Mo.ROUTES), "default": "via-ck"}), _FACTORED]),
+    ("phi-ck", "polynomial invariant of a forest",
+     lambda a: T.strict_order_poly(parse_tree_forest(a.expr)), _EXPR + [_FACTORED]),
+    ("mu", "inverse-character value of a monomial",
+     lambda a: Mo.mu_character.forest(parse_forest_mono(a.expr)), _EXPR),
+    ("antipode", "antipode of a forest-monomial combination",
+     lambda a: Mo.antipode_via_mu(parse_selem(a.expr)), _EXPR),
+    ("dims", "table of graded dimensions", _dims,
+     [("--nmax", {"type": _positive_int, "default": 5}), ("--kmax", {"type": int, "default": 5})]),
+    ("ds", "expand the grafting fixed-point series",
+     lambda a: Mo.ds_solve(a.coeffs, a.max_vertices),
+     [("--coeffs", {"type": _rationals, "required": True}),
+      ("--max-vertices", {"type": _positive_int, "default": 4})]),
+    ("stats", "symmetry factor, plane count and fertility monomial", _stats, _EXPR),
+    ("selfcheck", "run all law suites", _selfcheck,
+     [("--seed", {"type": int, "default": 0}), ("--size", {"type": _positive_int, "default": 3})]),
+]
 
-    results = run_selfcheck(args.seed, args.size)
-    report = format_report(results)
-    if any(not ok for _, ok, _ in results):
-        raise SelfcheckFailure(report)
-    return report
 
-
-class SelfcheckFailure(Exception):
-    pass
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built on first use and then shared."""
     ap = argparse.ArgumentParser(
         prog="mindex",
         description="Exact computer algebra for multi-index operads and rooted-tree Hopf algebras",
     )
     sub = ap.add_subparsers(dest="verb", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, help_text, run, arguments in VERBS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="structured output")
-        p.set_defaults(fn=fn)
-        return p
-
-    p = add("compose", _cmd_compose, help="operadic composition of a word with arguments")
-    p.add_argument("word")
-    p.add_argument("args", nargs="+")
-    p = add("brace", _cmd_brace, help="brace operation of a word with arguments")
-    p.add_argument("word")
-    p.add_argument("args", nargs="*")
-    p = add("delta-nmi", _cmd_delta_nmi, help="substitution coproduct of a forest monomial")
-    p.add_argument("expr")
-    p = add("Delta-nmi", _cmd_graft_nmi, help="Hopf coproduct of a forest monomial")
-    p.add_argument("expr")
-    p = add("delta-ck", _cmd_delta_ck, help="contraction-extraction coproduct of a forest")
-    p.add_argument("expr")
-    p = add("Delta-ck", _cmd_cut_ck, help="admissible-cut coproduct of a forest")
-    p.add_argument("expr")
-    p = add("psi", _cmd_psi, help="lift a monomial to the tree algebra")
-    p.add_argument("expr")
-    p = add("phi-mi", _cmd_phi_mi, help="polynomial invariant of a monomial")
-    p.add_argument("expr")
-    p.add_argument("--route", choices=list(Mo.ROUTES), default="via-ck")
-    p.add_argument("--factored", action="store_true")
-    p = add("phi-ck", _cmd_phi_ck, help="polynomial invariant of a forest")
-    p.add_argument("expr")
-    p.add_argument("--factored", action="store_true")
-    p = add("mu", _cmd_mu, help="inverse-character value of a monomial")
-    p.add_argument("expr")
-    p = add("antipode", _cmd_antipode, help="antipode of a forest-monomial combination")
-    p.add_argument("expr")
-    p = add("dims", _cmd_dims, help="table of graded dimensions")
-    p.add_argument("--nmax", type=_positive_int, default=5)
-    p.add_argument("--kmax", type=int, default=5)
-    p.set_defaults(parser=p)
-    p = add("ds", _cmd_ds, help="expand the grafting fixed-point series")
-    p.add_argument("--coeffs", type=_rationals, required=True)
-    p.add_argument("--max-vertices", type=_positive_int, default=4)
-    p = add("stats", _cmd_stats, help="symmetry factor, plane count and fertility monomial")
-    p.add_argument("expr")
-    p = add("selfcheck", _cmd_selfcheck, help="run all law suites")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--size", type=_positive_int, default=3)
+        for arg, kwargs in arguments:
+            p.add_argument(arg, **kwargs)
+        p.set_defaults(run=run, parser=p)
     return ap
 
 
 def render_command(argv) -> str:
     """Parse and evaluate one command line, returning its output text."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    return _show(args.run(args), args)
 
 
 def main(argv=None) -> int:
@@ -311,6 +248,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, ArithmeticError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -10,7 +10,8 @@ Grammars:
   tree forest B[] | ladder:3
   polynomial  1/6*X^3 - 1/2*X^2 + 1/3*X
 
-Printing is handled by the classes themselves; parse(print(v)) == v.
+Each ``parse_*`` function reads the whole text by one rule.  Printing is
+handled by the classes themselves; parse(print(v)) == v.
 """
 
 from __future__ import annotations
@@ -62,72 +63,68 @@ class _Scanner:
     def fail(self, expected: str):
         raise ParseError(self.text, self.pos, expected)
 
-    def integer(self) -> int:
+    def integer(self, least: int = 0) -> int:
+        """A run of digits; an error at its start if its value is below
+        ``least``."""
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos == start:
             self.fail("an integer")
-        return int(self.text[start : self.pos])
-
-    def rational(self) -> Fraction:
-        self.skip_ws()
-        sign = 1
-        if self.match("-"):
-            sign = -1
-        elif self.match("+"):
-            pass
-        num = self.integer()
-        if self.match("/"):
-            return Fraction(sign * num, self.integer())
-        return Fraction(sign * num)
-
-    def at_number(self) -> bool:
-        return self.peek().isdigit()
-
-    def end(self):
-        if not self.done():
-            self.fail("end of input")
+        value = int(self.text[start : self.pos])
+        if value < least:
+            self.pos = start
+            self.fail(f"an integer >= {least}")
+        return value
 
 
-def _lincomb(sc: _Scanner, term_fn, make_basis, unit_allowed: bool):
-    """term (('+'|'-') term)* where term is [coeff '*'?] basis | coeff."""
+def _whole(text: str, rule):
+    """Read all of ``text`` by ``rule``; anything left over is an error."""
+    sc = _Scanner(text)
+    out = rule(sc)
+    if not sc.done():
+        sc.fail("end of input")
+    return out
+
+
+def _lincomb(sc: _Scanner, cls, term, unit: bool = True):
+    """term (('+'|'-') term)* where term is [coeff '*'?] key | coeff, as an
+    element of the ``LinComb`` subclass ``cls``; with ``unit``, a bare coeff
+    is a multiple of ``cls.unit_key``."""
     acc = None
-    first = True
+    negative = sc.match("-")
     while True:
-        sc.skip_ws()
-        if first:
-            negative = sc.match("-")
-            first = False
-        else:
-            if sc.match("+"):
-                negative = False
-            elif sc.match("-"):
-                negative = True
-            else:
-                break
         coeff = Fraction(1)
-        if sc.at_number():
+        key = None
+        if sc.peek().isdigit():
             num = sc.integer()
-            if sc.match("/"):
-                coeff = Fraction(num, sc.integer())
-            else:
-                coeff = Fraction(num)
+            coeff = Fraction(num, sc.integer(least=1)) if sc.match("/") else Fraction(num)
             sc.match("*")
-            sc.skip_ws()
             if sc.done() or sc.peek() in "+-":
-                if not unit_allowed:
+                if not unit:
                     sc.fail("a basis element after the coefficient")
-                term = make_basis(None, -coeff if negative else coeff)
-                acc = term if acc is None else acc + term
-                continue
-        key = term_fn(sc)
-        term = make_basis(key, -coeff if negative else coeff)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        sc.fail("at least one term")
-    return acc
+                key = cls.unit_key
+        if key is None:
+            key = term(sc)
+        t = cls.basis(key, -coeff if negative else coeff)
+        acc = t if acc is None else acc + t
+        if sc.match("-"):
+            negative = True
+        elif sc.match("+"):
+            negative = False
+        else:
+            return acc
+
+
+def _bars(sc: _Scanner, item) -> list:
+    """``1`` (the empty product) or item ('|' item)*."""
+    if sc.match("1"):
+        return []
+    items = [item(sc)]
+    while sc.match("|"):
+        items.append(item(sc))
+    return items
 
 
 # -- words -------------------------------------------------------------------
@@ -147,10 +144,7 @@ def _word(sc: _Scanner) -> Word:
 
 
 def parse_word(text: str) -> Word:
-    sc = _Scanner(text)
-    w = _word(sc)
-    sc.end()
-    return w
+    return _whole(text, _word)
 
 
 def _word_term(sc: _Scanner) -> Word:
@@ -159,26 +153,19 @@ def _word_term(sc: _Scanner) -> Word:
     if sc.peek() != "X":
         sc.fail("a word [i,j,...] or X-letters")
     letters = []
-    while True:
-        if not sc.match("X"):
-            break
+    while sc.match("X"):
         letters.append(sc.integer())
         if not sc.match("*"):
             break
         if sc.peek() != "X":
             sc.fail("another letter after '*'")
-    if not letters:
-        sc.fail("at least one letter")
     return tuple(letters)
 
 
 def parse_ncpoly(text: str) -> NCPoly:
-    if text.strip() == "0":
+    if text.strip() == "0":  # words have no unit, so 0 is not a term
         return NCPoly.zero()
-    sc = _Scanner(text)
-    out = _lincomb(sc, _word_term, lambda k, c: NCPoly.basis(k, c), unit_allowed=False)
-    sc.end()
-    return out
+    return _whole(text, lambda sc: _lincomb(sc, NCPoly, _word_term, unit=False))
 
 
 # -- monomials ---------------------------------------------------------------
@@ -186,61 +173,34 @@ def parse_ncpoly(text: str) -> NCPoly:
 
 def _monomial(sc: _Scanner) -> Alpha:
     exps: dict[int, int] = {}
-    seen = False
-    while True:
-        sc.skip_ws()
-        if not sc.match("x"):
-            break
-        seen = True
+    while sc.match("x"):
         idx = sc.integer()
         power = sc.integer() if sc.match("^") else 1
         exps[idx] = exps.get(idx, 0) + power
         sc.match("*")
-    if not seen:
+    if not exps:
         sc.fail("a monomial like x2*x1^2")
     top = max(exps)
     return trim(exps.get(i, 0) for i in range(top + 1))
 
 
 def parse_monomial(text: str) -> Alpha:
-    sc = _Scanner(text)
-    a = _monomial(sc)
-    sc.end()
-    return a
+    return _whole(text, _monomial)
 
 
 # -- forest monomials ---------------------------------------------------------
 
 
 def _forest_mono(sc: _Scanner):
-    if sc.peek() == "1":
-        sc.expect("1")
-        return ()
-    blocks = [_monomial(sc)]
-    while sc.match("|"):
-        blocks.append(_monomial(sc))
-    return forest_mono(blocks)
+    return forest_mono(_bars(sc, _monomial))
 
 
 def parse_forest_mono(text: str):
-    sc = _Scanner(text)
-    f = _forest_mono(sc)
-    sc.end()
-    return f
+    return _whole(text, _forest_mono)
 
 
 def parse_selem(text: str) -> SElem:
-    if text.strip() == "0":
-        return SElem.zero()
-    sc = _Scanner(text)
-    out = _lincomb(
-        sc,
-        _forest_mono,
-        lambda k, c: SElem.basis(() if k is None else k, c),
-        unit_allowed=True,
-    )
-    sc.end()
-    return out
+    return _whole(text, lambda sc: _lincomb(sc, SElem, _forest_mono))
 
 
 # -- trees ---------------------------------------------------------------------
@@ -250,9 +210,9 @@ def _tree(sc: _Scanner) -> RootedTree:
     open_lists: list[list[RootedTree]] = []  # children of each open "B["
     while True:
         if sc.match("ladder:"):
-            t = ladder(sc.integer())
+            t = ladder(sc.integer(least=1))
         elif sc.match("corolla:"):
-            t = corolla(sc.integer())
+            t = corolla(sc.integer(least=1))
         else:
             sc.expect("B[")
             if not sc.match("]"):
@@ -270,27 +230,11 @@ def _tree(sc: _Scanner) -> RootedTree:
 
 
 def parse_tree(text: str) -> RootedTree:
-    sc = _Scanner(text)
-    t = _tree(sc)
-    sc.end()
-    return t
-
-
-def _tree_forest(sc: _Scanner) -> Forest:
-    if sc.peek() == "1":
-        sc.expect("1")
-        return ()
-    trees = [_tree(sc)]
-    while sc.match("|"):
-        trees.append(_tree(sc))
-    return forest(trees)
+    return _whole(text, _tree)
 
 
 def parse_tree_forest(text: str) -> Forest:
-    sc = _Scanner(text)
-    f = _tree_forest(sc)
-    sc.end()
-    return f
+    return _whole(text, lambda sc: forest(_bars(sc, _tree)))
 
 
 # -- polynomials ----------------------------------------------------------------
@@ -299,24 +243,8 @@ def parse_tree_forest(text: str) -> Forest:
 def _poly_term(sc: _Scanner) -> int:
     if not sc.match("X"):
         sc.fail("X")
-    if sc.match("^"):
-        return sc.integer()
-    return 1
+    return sc.integer() if sc.match("^") else 1
 
 
 def parse_poly(text: str) -> Poly:
-    sc = _Scanner(text)
-    if sc.peek() == "0":
-        mark = sc.pos
-        sc.expect("0")
-        if sc.done():
-            return Poly.zero()
-        sc.pos = mark
-    out = _lincomb(
-        sc,
-        _poly_term,
-        lambda k, c: Poly.basis(0 if k is None else k, c),
-        unit_allowed=True,
-    )
-    sc.end()
-    return out
+    return _whole(text, lambda sc: _lincomb(sc, Poly, _poly_term))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from mindex.cli import factored_form, main, render_command
+from mindex.cli import build_parser, factored_form, main, render_command
 from mindex.exact import Poly, indefinite_sum
 from mindex.parsing import (
     ParseError,
@@ -210,6 +210,8 @@ def test_cli_selfcheck_rejects_sizes_below_one(capsys):
 
 
 def test_cli_dims_rejects_empty_tables(capsys):
+    # a valid call first: the parser is shared between calls
+    assert render_command(["dims", "--nmax", "2", "--kmax", "-1"]) == "n\\k\t-1\n1\t0\n2\t1"
     for argv, message in (
         (["dims", "--nmax", "0"], "--nmax: expected an integer >= 1"),
         (["dims", "--nmax", "-1"], "--nmax: expected an integer >= 1"),
@@ -243,3 +245,49 @@ def test_cli_ds_rejects_bad_options(capsys):
     assert render_command(["ds", "--coeffs", " 1, 1/2 ", "--max-vertices", "2"]) == (
         render_command(["ds", "--coeffs", "1,1/2", "--max-vertices", "2"])
     )
+
+
+def test_zero_sums_parse_to_zero():
+    for text in ("0", "-0", "0/1", "0 - 0"):
+        assert parse_selem(text).is_zero()
+        assert parse_poly(text).is_zero()
+    assert parse_ncpoly("0").is_zero()
+
+
+def test_cli_zero_denominators_and_empty_shorthands_exit_2(capsys):
+    for argv, message in (
+        (["antipode", "1/0*x0"], "position 2: expected an integer >= 1 in '1/0*x0'"),
+        (["compose", "[1,0]", "1/0*X0", "[0]"], "position 2: expected an integer >= 1 in '1/0*X0'"),
+        (["stats", "ladder:0"], "position 7: expected an integer >= 1 in 'ladder:0'"),
+        (["delta-ck", "B[corolla:0]"], "position 10: expected an integer >= 1 in 'B[corolla:0]'"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: {message}\n"
+
+
+def test_cli_out_of_memory_exits_1():
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():
+        limit = 400 * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    # the parsed monomial alone is a vector of 10^8 exponents
+    cmd = [sys.executable, "-m", "mindex.cli", "mu", "x99999999*x0"]
+    out = subprocess.run(cmd, capture_output=True, text=True, preexec_fn=cap_address_space)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == "error: out of memory\n"
+
+
+def test_cli_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_cli_calls_share_no_state():
+    assert render_command(["phi-mi", "x1*x0", "--factored"]).count("\n") == 1
+    assert render_command(["phi-mi", "x1*x0"]) == "1/2*X^2 - 1/2*X"
+    assert json.loads(render_command(["mu", "x2^2*x0^3", "--json"])) == {"value": "-6"}
+    assert render_command(["mu", "x2^2*x0^3"]) == "-6"
