@@ -137,9 +137,7 @@ def _sub_coproduct_block(a: Alpha) -> STensor:
                 per_slot.append(options)
             base = mult * inv_kfact
             _expand_rows(rows, per_slot, base)
-    out = STensor.__new__(STensor)
-    out.terms = rows
-    return out
+    return STensor.adopt(rows)
 
 
 def _expand_rows(rows: dict, per_slot, base: Fraction) -> None:
@@ -186,9 +184,7 @@ def _graft_coproduct_block(a: Alpha) -> STensor:
                 bw = base * w
                 for mono, c in image.terms.items():
                     add_term(rows, ((mono,), right), bw * c)
-    out = STensor.__new__(STensor)
-    out.terms = rows
-    return out
+    return STensor.adopt(rows)
 
 
 def graft_coproduct_block_oracle(a: Alpha) -> STensor:
@@ -209,18 +205,13 @@ def graft_coproduct_block_oracle(a: Alpha) -> STensor:
             right = forest_mono(rest)
             for mono, c in image.terms.items():
                 add_term(rows, ((mono,), right), mult * inv_kfact * c)
-    out = STensor.__new__(STensor)
-    out.terms = rows
-    return out
+    return STensor.adopt(rows)
 
 
 @lru_cache(maxsize=None)
 def _block_coproduct_fm(f: ForestMono, which: str) -> STensor:
     block_fn = _sub_coproduct_block if which == "sub" else _graft_coproduct_block
-    out = STensor.one()
-    for b in f:
-        out = out * block_fn(b)
-    return out
+    return STensor.product(map(block_fn, f))
 
 
 def sub_coproduct(e: SElem) -> STensor:
@@ -262,9 +253,7 @@ def _antipode_fm(f: ForestMono) -> SElem:
             continue
         for s, cs in _antipode_fm(left).terms.items():
             add_term(data, fm_mul(s, right), -c * cs)
-    out = SElem.__new__(SElem)
-    out.terms = data
-    return out
+    return SElem.adopt(data)
 
 
 class Character:

@@ -89,10 +89,8 @@ def binomial_poly(n: int) -> Poly:
     """binom(X, n) = X(X-1)...(X-n+1)/n!; the constant 1 for n = 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out = Poly.const(Fraction(1, math.factorial(n)))
-    for i in range(n):
-        out = out * Poly({1: 1, 0: -i})
-    return out
+    falling = Poly.product(Poly({1: 1, 0: -i}) for i in range(n))
+    return falling.scale(Fraction(1, math.factorial(n)))
 
 
 def indefinite_sum(p: Poly) -> Poly:

@@ -64,6 +64,25 @@ class LinComb:
     def one(cls, coeff=1):
         return cls.basis(cls.unit_key, coeff)
 
+    @classmethod
+    def adopt(cls, terms: dict):
+        """The element whose ``terms`` is the finished dict ``terms``, which
+        holds no zero coefficient and is taken over, not copied."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
+    @classmethod
+    def product(cls, factors):
+        """``one()`` times each factor in turn, stopping at the first zero:
+        the factors after it are never drawn from ``factors``."""
+        out = cls.one()
+        for f in factors:
+            out = out * f
+            if not out.terms:
+                break
+        return out
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -76,9 +95,7 @@ class LinComb:
         data = dict(self.terms)
         for key, coeff in other.terms.items():
             add_term(data, key, coeff)
-        out = type(self).__new__(type(self))
-        out.terms = data
-        return out
+        return self.adopt(data)
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -86,20 +103,14 @@ class LinComb:
         data = dict(self.terms)
         for key, coeff in other.terms.items():
             add_term(data, key, -coeff)
-        out = type(self).__new__(type(self))
-        out.terms = data
-        return out
+        return self.adopt(data)
 
     def __neg__(self):
-        out = type(self).__new__(type(self))
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
+        return self.adopt({k: -c for k, c in self.terms.items()})
 
     def scale(self, factor):
         factor = Fraction(factor)
-        out = type(self).__new__(type(self))
-        out.terms = {} if not factor else {k: c * factor for k, c in self.terms.items()}
-        return out
+        return self.adopt({k: c * factor for k, c in self.terms.items()} if factor else {})
 
     def __rmul__(self, factor):
         if isinstance(factor, (int, Fraction)):
@@ -122,17 +133,12 @@ class LinComb:
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
                 add_term(data, self.key_mul(ka, kb), ca * cb)
-        out = type(self).__new__(type(self))
-        out.terms = data
-        return out
+        return self.adopt(data)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        out = type(self).one()
-        for _ in range(n):
-            out = out * self
-        return out
+        return self.product([self] * n)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -158,9 +164,7 @@ class LinComb:
         for key, coeff in self.terms.items():
             for k2, c2 in fn(key).terms.items():
                 add_term(data, k2, coeff * c2)
-        out = cls.__new__(cls)
-        out.terms = data
-        return out
+        return cls.adopt(data)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: self.sort_key(kv[0]))

@@ -183,36 +183,34 @@ def abelianize(p: NCPoly) -> CPoly:
         for i in w:
             exps[i] += 1
         add_term(data, tuple(exps), c)
-    out = CPoly.__new__(CPoly)
-    out.terms = data
-    return out
+    return CPoly.adopt(data)
 
+
+def _derive(p: CPoly, image) -> CPoly:
+    """The derivation sending each letter x_i to the monomial x^image(i),
+    or to 0 where ``image(i)`` is None."""
+    data: dict = {}
+    for a, c in p.terms.items():
+        for i, e in enumerate(a):
+            b = image(i) if e else None
+            if b is not None:
+                add_term(data, alpha_mul(alpha_sub(a, unit_exp(i)), b), c * e)
+    return CPoly.adopt(data)
 
 
 def shift_up(p: CPoly) -> CPoly:
     """The derivation sum over n of x_{n+1} d/dx_n."""
-    data: dict = {}
-    for a, c in p.terms.items():
-        for i, e in enumerate(a):
-            if e:
-                key = alpha_mul(alpha_sub(a, unit_exp(i)), unit_exp(i + 1))
-                add_term(data, key, c * e)
-    out = CPoly.__new__(CPoly)
-    out.terms = data
-    return out
+    return _derive(p, lambda i: unit_exp(i + 1))
 
 
 def shift_down(p: CPoly) -> CPoly:
     """The derivation sending x_0 to 0 and x_i to x_{i-1}."""
-    data: dict = {}
-    for a, c in p.terms.items():
-        for i, e in enumerate(a):
-            if e and i >= 1:
-                key = alpha_mul(alpha_sub(a, unit_exp(i)), unit_exp(i - 1))
-                add_term(data, key, c * e)
-    out = CPoly.__new__(CPoly)
-    out.terms = data
-    return out
+    return _derive(p, lambda i: unit_exp(i - 1) if i else None)
+
+
+def partial(p: CPoly, i: int) -> CPoly:
+    """d/dx_i."""
+    return _derive(p, lambda j: () if j == i else None)
 
 
 def shift_up_power(p: CPoly, n: int) -> CPoly:
@@ -232,18 +230,6 @@ def shift_down_power(p: CPoly, n: int) -> CPoly:
 @lru_cache(maxsize=None)
 def _shift_down_power_mono(a: Alpha, n: int) -> CPoly:
     return shift_down_power(CPoly.basis(a), n)
-
-
-def partial(p: CPoly, i: int) -> CPoly:
-    """d/dx_i."""
-    data: dict = {}
-    for a, c in p.terms.items():
-        e = a[i] if i < len(a) else 0
-        if e:
-            add_term(data, alpha_sub(a, unit_exp(i)), c * e)
-    out = CPoly.__new__(CPoly)
-    out.terms = data
-    return out
 
 
 def prelie(p: CPoly, q: CPoly) -> CPoly:
@@ -270,12 +256,8 @@ def prelie_multi(p: CPoly, args: Sequence[CPoly]) -> CPoly:
             deriv = partial(deriv, i)
             if deriv.is_zero():
                 break
-        if deriv.is_zero():
-            continue
-        term = deriv
-        for i, q in zip(orders, args):
-            term = term * shift_up_power(q, i)
-        acc = acc + term
+        if not deriv.is_zero():
+            acc = acc + CPoly.product([deriv, *map(shift_up_power, args, orders)])
     return acc
 
 
@@ -286,10 +268,7 @@ def novikov(p: CPoly, q: CPoly) -> CPoly:
 
 def novikov_multi(p: CPoly, args: Sequence[CPoly]) -> CPoly:
     """Its multi-argument extension shift^k(p) * q_1 ... q_k."""
-    out = shift_up_power(p, len(args))
-    for q in args:
-        out = out * q
-    return out
+    return CPoly.product([shift_up_power(p, len(args)), *args])
 
 
 SplitTensor = dict[tuple[Alpha, ...], Fraction]

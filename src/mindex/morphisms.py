@@ -97,12 +97,7 @@ def tree_lift_by_symmetry(a: Alpha) -> HCKElem:
 
 
 def tree_lift_fm(f: ForestMono) -> HCKElem:
-    out = HCKElem.one()
-    for block in f:
-        out = out * tree_lift(block)
-        if out.is_zero():
-            break
-    return out
+    return HCKElem.product(map(tree_lift, f))
 
 
 def tree_lift_elem(e: SElem) -> HCKElem:
@@ -124,10 +119,7 @@ def _invariant_fixed_point(a: Alpha) -> Poly:
         if not e:
             continue
         for f, w in multiset_splits(alpha_sub(a, unit_exp(i)), i):
-            term = Poly.const(w)
-            for b in f:
-                term = term * _invariant_fixed_point(b)
-            inner = inner + term
+            inner = inner + Poly.product(map(_invariant_fixed_point, f)).scale(w)
     return indefinite_sum(inner).scale(alpha_factorial(a))
 
 
@@ -171,12 +163,7 @@ def poly_invariant(a: Alpha, route: str = "via-ck") -> Poly:
 
 
 def poly_invariant_fm(f: ForestMono, route: str = "via-ck") -> Poly:
-    out = Poly.const(1)
-    for block in f:
-        out = out * poly_invariant(block, route)
-        if out.is_zero():
-            break
-    return out
+    return Poly.product(poly_invariant(block, route) for block in f)
 
 
 # -- the inverse character and the closed antipode --------------------------
@@ -210,12 +197,12 @@ mu_character = Character(mu_value, "mu")
 def antipode_via_mu(e: SElem) -> SElem:
     """Closed antipode: feed mu into the left slot of the substitution
     coproduct."""
-    out = SElem.zero()
+    data: dict = {}
     for (left, right), c in sub_coproduct(e).terms.items():
         v = mu_character.forest(left)
         if v:
-            out = out + SElem.basis(right, c * v)
-    return out
+            add_term(data, right, c * v)
+    return SElem.adopt(data)
 
 
 # -- Dyson-Schwinger expansion ----------------------------------------------
@@ -277,14 +264,13 @@ def ds_solve(coeffs: Sequence, max_vertices: int) -> DSSolution:
             memo[t.enc] = v
         return v
 
-    entries: dict[Alpha, HCKElem] = {}
+    rows: dict[Alpha, dict] = {}  # distinct trees, so no key repeats
     for n in range(1, max_vertices + 1):
         for t in all_trees(n):
             c = q(t)
-            if not c:
-                continue
-            key = fertility_monomial(t)
-            entries[key] = entries.get(key, HCKElem.zero()) + HCKElem.tree(t, c)
+            if c:
+                rows.setdefault(fertility_monomial(t), {})[(t,)] = c
+    entries = {key: HCKElem.adopt(terms) for key, terms in rows.items()}
     return DSSolution(coeffs=a, max_vertices=max_vertices, entries=entries)
 
 

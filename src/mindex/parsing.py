@@ -16,6 +16,7 @@ handled by the classes themselves; parse(print(v)) == v.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .bialgebra import SElem, forest_mono
@@ -65,14 +66,18 @@ class _Scanner:
 
     def integer(self, least: int = 0) -> int:
         """A run of digits; an error at its start if its value is below
-        ``least``."""
+        ``least`` or it is too long to convert."""
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             self.fail("an integer")
-        value = int(self.text[start : self.pos])
+        try:
+            value = int(self.text[start : self.pos])
+        except ValueError:  # more digits than the interpreter converts
+            self.pos = start
+            self.fail(f"an integer of at most {sys.get_int_max_str_digits()} digits")
         if value < least:
             self.pos = start
             self.fail(f"an integer >= {least}")
@@ -97,7 +102,7 @@ def _lincomb(sc: _Scanner, cls, term, unit: bool = True):
     while True:
         coeff = Fraction(1)
         key = None
-        if sc.peek().isdigit():
+        if sc.peek().isdecimal():
             num = sc.integer()
             coeff = Fraction(num, sc.integer(least=1)) if sc.match("/") else Fraction(num)
             sc.match("*")
@@ -172,6 +177,9 @@ def parse_ncpoly(text: str) -> NCPoly:
 
 
 def _monomial(sc: _Scanner) -> Alpha:
+    """A monomial other than 1; an error at its start if it reduces to 1."""
+    sc.skip_ws()
+    start = sc.pos
     exps: dict[int, int] = {}
     while sc.match("x"):
         idx = sc.integer()
@@ -180,8 +188,11 @@ def _monomial(sc: _Scanner) -> Alpha:
         sc.match("*")
     if not exps:
         sc.fail("a monomial like x2*x1^2")
-    top = max(exps)
-    return trim(exps.get(i, 0) for i in range(top + 1))
+    a = trim(exps.get(i, 0) for i in range(max(exps) + 1))
+    if not a:
+        sc.pos = start
+        sc.fail("a monomial other than 1")
+    return a
 
 
 def parse_monomial(text: str) -> Alpha:

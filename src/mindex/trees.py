@@ -324,18 +324,14 @@ def _cut_coproduct_tree(t: RootedTree) -> HCKTensor:
     rows: dict = {((), (t,)): Fraction(1)}
     for (left, right), c in inner.terms.items():
         add_term(rows, ((bplus(left),), right), c)
-    out = HCKTensor.__new__(HCKTensor)
-    out.terms = rows
-    return out
+    return HCKTensor.adopt(rows)
 
 
 def cut_coproduct(f: Forest) -> HCKTensor:
     """Admissible-cut coproduct: rooted remainder on the left, pruned
     forest on the right; multiplicative over forests."""
-    out = HCKTensor.one()
-    for t in f:
-        out = out * _cut_coproduct_tree(t)
-    return out
+    # the factors first, so that product adds no frame to the recursion
+    return HCKTensor.product(list(map(_cut_coproduct_tree, f)))
 
 
 def _tree_edges(t: RootedTree) -> tuple[list[list[int]], list[int]]:
@@ -397,9 +393,7 @@ def cut_coproduct_oracle(t: RootedTree) -> HCKTensor:
             left = _subtree_from(children, root_side, 0)
             pruned = forest(_subtree_from(children, None, v) for v in cut)
             add_term(rows, ((left,), pruned), Fraction(1))
-    out = HCKTensor.__new__(HCKTensor)
-    out.terms = rows
-    return out
+    return HCKTensor.adopt(rows)
 
 
 def contract_coproduct_oracle(t: RootedTree) -> HCKTensor:
@@ -437,9 +431,7 @@ def contract_coproduct_oracle(t: RootedTree) -> HCKTensor:
 
         left = qtree(0)
         add_term(rows, ((left,), block_trees), Fraction(1))
-    out = HCKTensor.__new__(HCKTensor)
-    out.terms = rows
-    return out
+    return HCKTensor.adopt(rows)
 
 
 def _merged(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -460,7 +452,8 @@ def _contract_coproduct_tree(t: RootedTree) -> HCKTensor:
     the child's open block and hangs the child's quotient below the parent's.
 
     Within the call a tree is a number, interned by the sorted numbers of
-    its children, so the keys are sorted tuples of ints that hash in O(1).
+    its children, so the keys are sorted tuples of ints that hash in O(1),
+    and equal subtrees share one table.
     """
     ids: dict[tuple[int, ...], int] = {}
 
@@ -470,17 +463,25 @@ def _contract_coproduct_tree(t: RootedTree) -> HCKTensor:
             i = ids[kids] = len(ids)
         return i
 
-    # per subtree: (qkids, id of B[okids], id of B[qkids], closed, count)
-    # rows, the open block and the quotient already closed up for the parent;
-    # in reverse pre-order, a vertex's children's tables top the stack
-    tables: list[list] = []
+    # first pass: intern every subtree; in reverse pre-order a vertex's
+    # children's ids top the stack
+    stack: list[int] = []
     for node in reversed(list(_vertices(t))):
+        cut = len(stack) - len(node.children)
+        kids = tuple(sorted(stack[cut:]))
+        del stack[cut:]
+        stack.append(intern(kids))
+
+    # per distinct subtree: (qkids, id of B[okids], id of B[qkids], closed,
+    # count) rows, the open block and the quotient already closed up for the
+    # parent; subtrees were interned before their parents
+    tables: dict[int, list] = {}
+    for kids, s in list(ids.items()):
         partial: dict = {((), (), ()): 1}
-        for _ in node.children:
+        for c in kids:
             folded: dict = {}
-            ctable = tables.pop()
             for (q, o, closed), m in partial.items():
-                for cq, co_id, cq_id, cclosed, cm in ctable:
+                for cq, co_id, cq_id, cclosed, cm in tables[c]:
                     both = _merged(closed, cclosed)
                     k = m * cm
                     # the edge to the child kept, then cut
@@ -489,29 +490,24 @@ def _contract_coproduct_tree(t: RootedTree) -> HCKTensor:
                     key = (_merged(q, (cq_id,)), o, _merged(both, (co_id,)))
                     folded[key] = folded.get(key, 0) + k
             partial = folded
-        tables.append(
-            [(q, intern(o), intern(q), closed, m) for (q, o, closed), m in partial.items()]
-        )
+        tables[s] = [
+            (q, intern(o), intern(q), closed, m) for (q, o, closed), m in partial.items()
+        ]
 
     trees: list[RootedTree] = []
     for kids in ids:  # children are interned before their parents
         trees.append(RootedTree(trees[i] for i in kids))
     counts: dict = {}
-    for _, o_id, q_id, closed, m in tables.pop():
+    for _, o_id, q_id, closed, m in tables[stack.pop()]:
         key = ((trees[q_id],), forest(trees[i] for i in closed + (o_id,)))
         counts[key] = counts.get(key, 0) + m
-    out = HCKTensor.__new__(HCKTensor)
-    out.terms = {key: Fraction(m) for key, m in counts.items()}
-    return out
+    return HCKTensor.adopt({key: Fraction(m) for key, m in counts.items()})
 
 
 def contract_coproduct(f: Forest) -> HCKTensor:
     """Contraction-extraction coproduct: contracted forest on the left,
     extracted subtrees on the right; multiplicative over forests."""
-    out = HCKTensor.one()
-    for t in f:
-        out = out * _contract_coproduct_tree(t)
-    return out
+    return HCKTensor.product(map(_contract_coproduct_tree, f))
 
 
 def counit_cut(e: HCKElem) -> Fraction:
@@ -540,24 +536,16 @@ TREE_SIDE = DoubleBialgebra(
 
 @lru_cache(maxsize=None)
 def _strict_order_poly_tree(t: RootedTree) -> Poly:
-    acc = Poly.const(1)
-    for c in t.children:
-        acc = acc * _strict_order_poly_tree(c)
-    return indefinite_sum(acc)
+    # the factors first, so that product adds no frame to the recursion
+    return indefinite_sum(Poly.product(list(map(_strict_order_poly_tree, t.children))))
 
 
 def strict_order_poly(f: Forest) -> Poly:
     """Polynomial whose value at n counts strictly increasing maps from the
     forest poset to {1..n}; algebra map intertwining grafting with the
     summation operator."""
-    acc = Poly.const(1)
-    for t in f:
-        acc = acc * _strict_order_poly_tree(t)
-    return acc
+    return Poly.product(map(_strict_order_poly_tree, f))
 
 
 def strict_order_poly_elem(e: HCKElem) -> Poly:
-    acc = Poly.zero()
-    for f, c in e.terms.items():
-        acc = acc + strict_order_poly(f).scale(c)
-    return acc
+    return e.map_keys(strict_order_poly, target=Poly)

@@ -63,27 +63,25 @@ class NCPoly(LinComb):
         return cls.basis(w)
 
 
-def shift_up(p: NCPoly) -> NCPoly:
-    """Derivation sending X_i to X_{i+1} (Leibniz over letters)."""
+def _shift(p: NCPoly, step: int) -> NCPoly:
+    """Derivation sending X_i to X_{i+step}, and to 0 where i + step < 0
+    (Leibniz over letters)."""
     data: dict = {}
     for w, c in p.terms.items():
-        for k in range(len(w)):
-            add_term(data, w[:k] + (w[k] + 1,) + w[k + 1 :], c)
-    out = NCPoly.__new__(NCPoly)
-    out.terms = data
-    return out
+        for k, letter in enumerate(w):
+            if letter + step >= 0:
+                add_term(data, w[:k] + (letter + step,) + w[k + 1 :], c)
+    return NCPoly.adopt(data)
+
+
+def shift_up(p: NCPoly) -> NCPoly:
+    """Derivation sending X_i to X_{i+1} (Leibniz over letters)."""
+    return _shift(p, 1)
 
 
 def shift_down(p: NCPoly) -> NCPoly:
     """Derivation sending X_0 to 0 and X_i to X_{i-1}; dual to shift_up."""
-    data: dict = {}
-    for w, c in p.terms.items():
-        for k in range(len(w)):
-            if w[k] >= 1:
-                add_term(data, w[:k] + (w[k] - 1,) + w[k + 1 :], c)
-    out = NCPoly.__new__(NCPoly)
-    out.terms = data
-    return out
+    return _shift(p, -1)
 
 
 def shift_up_power(p: NCPoly, n: int) -> NCPoly:
@@ -105,10 +103,7 @@ def compose(w: Word, args: Sequence) -> NCPoly:
         raise ArityError(len(w), len(args))
     if any(a.is_zero() for a in args):
         raise ValueError("composition arguments must be nonzero")
-    out = NCPoly.basis(())
-    for letter, arg in zip(w, args):
-        out = out * shift_up_power(arg, letter)
-    return out
+    return NCPoly.product(shift_up_power(arg, letter) for letter, arg in zip(w, args))
 
 
 def compose_multinomial(w: Word, arg_words: Sequence[Word]) -> NCPoly:
@@ -118,20 +113,13 @@ def compose_multinomial(w: Word, arg_words: Sequence[Word]) -> NCPoly:
     """
     if len(arg_words) != len(w):
         raise ArityError(len(w), len(arg_words))
-    slot_polys: list[NCPoly] = []
-    for letter, u in zip(w, arg_words):
-        u = tuple(u)
-        data: dict = {}
-        for split in _compositions(letter, len(u)):
-            shifted = tuple(a + b for a, b in zip(u, split))
-            add_term(data, shifted, Fraction(multinomial(split)))
-        q = NCPoly.__new__(NCPoly)
-        q.terms = data
-        slot_polys.append(q)
-    out = NCPoly.basis(())
-    for q in slot_polys:
-        out = out * q
-    return out
+    return NCPoly.product(
+        NCPoly.adopt({
+            tuple(a + b for a, b in zip(u, split)): Fraction(multinomial(split))
+            for split in _compositions(letter, len(u))
+        })
+        for letter, u in zip(w, arg_words)
+    )
 
 
 def _compositions(total: int, slots: int):
@@ -163,9 +151,7 @@ def partial_compose(p: NCPoly, i: int, q: NCPoly) -> NCPoly:
         args[i - 1] = q
         for w2, c2 in compose(w, args).terms.items():
             add_term(data, w2, c * c2)
-    out = NCPoly.__new__(NCPoly)
-    out.terms = data
-    return out
+    return NCPoly.adopt(data)
 
 
 def brace(w: Word, args: Sequence) -> NCPoly:
@@ -179,22 +165,14 @@ def brace(w: Word, args: Sequence) -> NCPoly:
     n = len(w)
     data: dict = {}
     for positions in itertools.combinations(range(n), k):
-        factors: list[NCPoly] = []
-        m = 0
-        for j in range(n):
-            if m < k and positions[m] == j:
-                factors.append(shift_up_power(args[m], w[j]))
-                m += 1
-            else:
-                factors.append(NCPoly.word((w[j],)))
-        prod = NCPoly.basis(())
-        for f in factors:
-            prod = prod * f
+        chosen = dict(zip(positions, args))
+        prod = NCPoly.product(
+            shift_up_power(chosen[j], letter) if j in chosen else NCPoly.word((letter,))
+            for j, letter in enumerate(w)
+        )
         for w2, c2 in prod.terms.items():
             add_term(data, w2, c2)
-    out = NCPoly.__new__(NCPoly)
-    out.terms = data
-    return out
+    return NCPoly.adopt(data)
 
 
 def graded_dim(n: int, k: int) -> int:

@@ -124,6 +124,45 @@ def test_factored_form():
     ) == "-1/6*X*(X - 1)*(X - 2)"
 
 
+def _top_level_factors(text: str) -> list[str]:
+    """``text`` split at each '*' outside parentheses."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "*" and not depth:
+            parts.append(text[start:i])
+            start = i + 1
+    return parts + [text[start:]]
+
+
+def test_factored_form_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("X")
+    rng = random.Random(0)
+    polys = [indefinite_sum(Poly.x() ** n) for n in range(6)]
+    for _ in range(30):
+        p = Poly.const(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)))
+        for _ in range(rng.randint(0, 5)):
+            p = p * Poly({1: 1, 0: -rng.randint(-60, 60)})
+        if rng.random() < 0.5:  # a quadratic factor without real roots
+            p = p * Poly({2: 1, 1: rng.randint(-3, 3), 0: rng.randint(4, 9)})
+        polys.append(p)
+    for p in polys:
+        text = factored_form(p)
+        expr = sympy.Add(
+            *(sympy.Rational(c.numerator, c.denominator) * x**e for e, c in p.terms.items())
+        )
+        assert sympy.expand(sympy.sympify(text.replace("^", "**"), {"X": x}) - expr) == 0
+        parts = _top_level_factors(text)
+        for factor, mult in sympy.factor_list(expr)[1]:
+            if sympy.degree(factor, x) != 1:
+                continue
+            root = -factor.coeff(x, 0) / factor.coeff(x, 1)
+            if root.is_integer and -50 <= root <= 50:
+                base = "X" if root == 0 else f"(X - {root})" if root > 0 else f"(X + {-root})"
+                assert (base if mult == 1 else f"{base}^{mult}") in parts, (text, root)
+
+
 def test_exit_codes():
     assert main(["phi-mi", "x1*x0"]) == 0
     assert main(["phi-mi", "x1*y0"]) == 2
@@ -254,12 +293,25 @@ def test_zero_sums_parse_to_zero():
     assert parse_ncpoly("0").is_zero()
 
 
+LONG_LADDER = "ladder:" + "1" * 5000  # more digits than int() converts by default
+
+
 def test_cli_zero_denominators_and_empty_shorthands_exit_2(capsys):
     for argv, message in (
         (["antipode", "1/0*x0"], "position 2: expected an integer >= 1 in '1/0*x0'"),
         (["compose", "[1,0]", "1/0*X0", "[0]"], "position 2: expected an integer >= 1 in '1/0*X0'"),
         (["stats", "ladder:0"], "position 7: expected an integer >= 1 in 'ladder:0'"),
         (["delta-ck", "B[corolla:0]"], "position 10: expected an integer >= 1 in 'B[corolla:0]'"),
+        (["stats", "ladder:²"], "position 7: expected an integer in 'ladder:²'"),
+        (["mu", "x0^0"], "position 0: expected a monomial other than 1 in 'x0^0'"),
+        (["psi", "x0^0"], "position 0: expected a monomial other than 1 in 'x0^0'"),
+        (["delta-nmi", "x0^0"], "position 0: expected a monomial other than 1 in 'x0^0'"),
+        (["phi-mi", "x1|x0^0"], "position 3: expected a monomial other than 1 in 'x1|x0^0'"),
+        (
+            ["stats", LONG_LADDER],
+            f"position 7: expected an integer of at most {sys.get_int_max_str_digits()} digits"
+            f" in {LONG_LADDER!r}",
+        ),
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()

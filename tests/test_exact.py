@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,30 @@ def test_bernoulli_table():
     ]
     for k, want in enumerate(table):
         assert bernoulli(k) == want
+
+
+def _to_sympy(sympy, p: Poly, var):
+    return sympy.Add(
+        *(sympy.Rational(c.numerator, c.denominator) * var**e for e, c in p.terms.items())
+    )
+
+
+def test_indefinite_sum_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x, k = sympy.symbols("x k")
+    rng = random.Random(0)
+    for _ in range(25):
+        degree = rng.randint(-1, 6)
+        p = Poly({e: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for e in range(degree + 1)})
+        want = sympy.summation(_to_sympy(sympy, p, k), (k, 0, x - 1))
+        assert sympy.expand(want - _to_sympy(sympy, indefinite_sum(p), x)) == 0
+
+
+def test_bernoulli_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for k in range(21):  # both with B_1 = +1/2
+        want = sympy.bernoulli(k)
+        assert bernoulli(k) == Fraction(int(want.p), int(want.q))
 
 
 def test_poly_printing_and_json():
