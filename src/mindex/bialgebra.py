@@ -23,6 +23,7 @@ kit's ``cointeraction`` checks the defining identity in ``cointeraction_holds``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -120,41 +121,39 @@ def _sub_coproduct_block(a: Alpha) -> STensor:
     Sums over splittings of the block into k nonzero parts and shift orders
     n_1..n_k per part; the left factor is the single block recording the
     multiset of orders, normalized by 1/k! so that each order multiset is
-    counted once per its stabilizer (equivalently, the 1/beta! form).
+    counted once per its stabilizer (equivalently, the 1/beta! form).  The
+    counts mult * prod c are integers, summed per k and divided by k! once;
+    the left block has k letters, so the rows of different k are disjoint.
     """
     rows: dict = {}
-    n_letters = alpha_len(a)
-    for k in range(1, n_letters + 1):
-        inv_kfact = Fraction(1, math.factorial(k))
+    for k in range(1, alpha_len(a) + 1):
+        counts: dict = {}
         for split, mult in ordered_splits(a, k):
-            per_slot = []
-            for part in split:
-                options = []
-                for order in range(alpha_weight(part) + 1):
-                    image = _shift_down_power_mono(part, order)
-                    for mono, c in image.terms.items():
-                        options.append((order, mono, c))
-                per_slot.append(options)
-            base = mult * inv_kfact
-            _expand_rows(rows, per_slot, base)
+            per_slot = [
+                [
+                    (order, mono, c)
+                    for order in range(alpha_weight(part) + 1)
+                    for mono, c in _shift_down_power_mono(part, order).terms.items()
+                ]
+                for part in split
+            ]
+            _expand_rows(counts, per_slot, mult)
+        rows.update(STensor.adopt(counts).scale(Fraction(1, math.factorial(k))).terms)
     return STensor.adopt(rows)
 
 
-def _expand_rows(rows: dict, per_slot, base: Fraction) -> None:
-    def rec(idx: int, orders, blocks, coeff):
-        if idx == len(per_slot):
-            left_counts = [0] * (max(orders) + 1 if orders else 1)
-            for o in orders:
-                left_counts[o] += 1
-            while left_counts and left_counts[-1] == 0:
-                left_counts.pop()
-            left = forest_mono([tuple(left_counts)])
-            add_term(rows, (left, forest_mono(blocks)), coeff)
-            return
-        for order, mono, c in per_slot[idx]:
-            rec(idx + 1, orders + [order], blocks + [mono], coeff * c)
-
-    rec(0, [], [], base)
+def _expand_rows(counts: dict, per_slot, mult: int) -> None:
+    """Add the positive integer ``mult * prod c`` to the row of each choice
+    of one ``(order, mono, c)`` per slot: the left block counts the orders,
+    the right forest holds the monomials."""
+    for choice in itertools.product(*per_slot):
+        coeff = mult
+        left = [0] * (max(order for order, _, _ in choice) + 1)
+        for order, _, c in choice:
+            left[order] += 1
+            coeff *= c
+        key = ((tuple(left),), forest_mono([m for _, m, _ in choice]))
+        counts[key] = counts.get(key, 0) + coeff
 
 
 @lru_cache(maxsize=None)
@@ -167,21 +166,24 @@ def _graft_coproduct_block(a: Alpha) -> STensor:
     D the down-shift and E_k the k-part multiset splits of ``multiset_splits``.
     """
     rows: dict = {
-        ((forest_mono([a])), ()): Fraction(1),
-        ((), forest_mono([a])): Fraction(1),
+        ((forest_mono([a])), ()): 1,
+        ((), forest_mono([a])): 1,
     }
     a_fact = alpha_factorial(a)
     for h in submonomials(a):
         if not h or h == a:
             continue
         g = alpha_sub(a, h)
-        base = Fraction(a_fact, alpha_factorial(h))
+        base = a_fact // alpha_factorial(h)  # h <= a, so exact
         for k in range(1, alpha_len(g) + 1):
             image = _shift_down_power_mono(h, k)
             if image.is_zero():
                 break
             for right, w in multiset_splits(g, k):
-                bw = base * w
+                # a!/h! * w = binom(a, h) * (a-h)!/(prod r_j! prod mult!) counts
+                # the ways to deal the letters of x^(a-h) into the parts of
+                # ``right``, so it is an integer and the division is exact
+                bw = base * w.numerator // w.denominator
                 for mono, c in image.terms.items():
                     add_term(rows, ((mono,), right), bw * c)
     return STensor.adopt(rows)
@@ -192,8 +194,8 @@ def graft_coproduct_block_oracle(a: Alpha) -> STensor:
     the first piece k-fold down-shifted, the k others bar-multiplied.  Test
     oracle for the exponential formula of ``_graft_coproduct_block``."""
     rows: dict = {
-        ((forest_mono([a])), ()): Fraction(1),
-        ((), forest_mono([a])): Fraction(1),
+        ((forest_mono([a])), ()): 1,
+        ((), forest_mono([a])): 1,
     }
     for k in range(1, alpha_len(a)):
         inv_kfact = Fraction(1, math.factorial(k))
@@ -226,7 +228,7 @@ def graft_coproduct(e: SElem) -> STensor:
 
 def counit_sub(e: SElem) -> Fraction:
     """Character supported on powers of the single block x_0."""
-    total = Fraction(0)
+    total = 0
     for f, c in e.terms.items():
         if all(b == X0 for b in f):
             total += c
@@ -247,7 +249,7 @@ def antipode(e: SElem) -> SElem:
 def _antipode_fm(f: ForestMono) -> SElem:
     if not f:
         return SElem.one()
-    data: dict = {f: Fraction(-1)}
+    data: dict = {f: -1}
     for (left, right), c in _block_coproduct_fm(f, "graft").terms.items():
         if not left or not right:
             continue
@@ -272,7 +274,7 @@ class Character:
         return self._on_block(a)
 
     def forest(self, f: ForestMono) -> Fraction:
-        out = Fraction(1)
+        out = 1
         for b in f:
             out *= self.block(b)
             if not out:
@@ -280,11 +282,11 @@ class Character:
         return out
 
     def __call__(self, e: SElem) -> Fraction:
-        return sum((c * self.forest(f) for f, c in e.terms.items()), Fraction(0))
+        return sum(c * self.forest(f) for f, c in e.terms.items())
 
 
-eps_sub_character = Character(lambda a: Fraction(1 if a == X0 else 0), "eps_sub")
-eps_graft_character = Character(lambda a: Fraction(0), "eps_graft")
+eps_sub_character = Character(lambda a: 1 if a == X0 else 0, "eps_sub")
+eps_graft_character = Character(lambda a: 0, "eps_graft")
 
 
 def convolve(f: Character, g: Character, which: str = "graft") -> Character:
@@ -295,7 +297,7 @@ def convolve(f: Character, g: Character, which: str = "graft") -> Character:
 
     @lru_cache(maxsize=None)
     def on_block(a: Alpha) -> Fraction:
-        total = Fraction(0)
+        total = 0
         for (left, right), c in block_fn(a).terms.items():
             fl = f.forest(left)
             if fl:

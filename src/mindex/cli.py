@@ -73,6 +73,8 @@ def factored_form(p: Poly) -> str:
     content = Fraction(num_gcd if num_gcd else 1, denom_lcm)
     if rest.coeff(rest.degree()) < 0:
         content = -content
+    # content is a Fraction, so 1 / content stays exact; an int there would
+    # make it a float
     primitive = rest.scale(1 / content) if content != 1 else rest
     parts: list[str] = [str(content)] if content != 1 else []
     for r in sorted(set(roots)):

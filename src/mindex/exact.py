@@ -1,11 +1,12 @@
 """Exact rational arithmetic: univariate polynomials, the binomial basis,
 the summation operator and Bernoulli numbers.
 
-Polynomials are sparse ``exponent -> Fraction`` maps with no degree bound.
-``indefinite_sum`` (the discrete antiderivative ``p -> P`` with
+Polynomials are sparse ``exponent -> coefficient`` maps with no degree
+bound.  ``indefinite_sum`` (the discrete antiderivative ``p -> P`` with
 ``P(n) = p(0) + ... + p(n-1)``) is computed in the binomial-coefficient
 basis ``binom(X, n)``, where it is a plain index shift; it is a weight-1
-Rota-Baxter operator.  Bernoulli numbers follow the convention with
+Rota-Baxter operator.  Both basis changes run on integers over one common
+denominator.  Bernoulli numbers follow the convention with
 ``B_1 = +1/2``.
 """
 
@@ -16,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .linear import LinComb
+from .linear import LinComb, add_term
 
 
 def multinomial(parts: Sequence[int]) -> int:
@@ -56,7 +57,7 @@ class Poly(LinComb):
 
     @classmethod
     def const(cls, value) -> "Poly":
-        return cls({0: Fraction(value)})
+        return cls({0: value})
 
     @classmethod
     def x(cls, exponent: int = 1) -> "Poly":
@@ -73,12 +74,9 @@ class Poly(LinComb):
     def binomial_coeffs(self) -> dict[int, Fraction]:
         """Coefficients in the basis binom(X, n), via finite differences at 0."""
         out: dict[int, Fraction] = {}
-        for n in range(self.degree() + 1):
-            c = sum(
-                (-1) ** (n - j) * math.comb(n, j) * self(j) for j in range(n + 1)
-            )
-            if c:
-                out[n] = c
+        diffs, den = _differences(self)
+        for n, diff in enumerate(diffs):
+            add_term(out, n, Fraction(diff, den))
         return out
 
     def to_json(self) -> dict[str, str]:
@@ -93,12 +91,48 @@ def binomial_poly(n: int) -> Poly:
     return falling.scale(Fraction(1, math.factorial(n)))
 
 
+def _differences(p: Poly) -> tuple[list[int], int]:
+    """``(diffs, den)`` with ``diffs[n] / den`` the n-th forward difference
+    of ``p`` at 0, for n up to the degree: one difference table over the
+    values p(0), ..., p(d), all scaled by the common denominator ``den``."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    scaled = [0] * (p.degree() + 1)  # by descending power of X, for Horner
+    for e, c in p.terms.items():
+        scaled[-1 - e] = c.numerator * (den // c.denominator)
+    values = []
+    for j in range(len(scaled)):
+        v = 0
+        for c in scaled:
+            v = v * j + c
+        values.append(v)
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return diffs, den
+
+
 def indefinite_sum(p: Poly) -> Poly:
-    """The unique polynomial P with P(n) = p(0) + ... + p(n-1) for n >= 1."""
-    acc = Poly.zero()
-    for n, c in p.binomial_coeffs().items():
-        acc = acc + binomial_poly(n + 1).scale(c)
-    return acc
+    """The unique polynomial P with P(n) = p(0) + ... + p(n-1) for n >= 1:
+    ``sum_n c_n binom(X, n + 1)`` for the coefficients ``c_n`` of ``p`` in
+    the basis ``binom(X, n)``.  Over the denominator ``den * (d + 1)!``
+    every term is an integer: ``c_n den`` times the falling factorial
+    ``X(X-1)...(X-n)`` times ``(d + 1)!/(n + 1)!``."""
+    diffs, den = _differences(p)
+    top = len(diffs)
+    num = [0] * (top + 1)  # by ascending power of X
+    falling = [1]  # X(X-1)...(X-n+1) by ascending power, from n = 0
+    for n, diff in enumerate(diffs):
+        falling = [lo - n * hi for lo, hi in zip([0] + falling, falling + [0])]
+        if diff:
+            weight = diff * math.perm(top, top - n - 1)  # times (d + 1)!/(n + 1)!
+            for e, f in enumerate(falling):
+                num[e] += weight * f
+    terms: dict = {}
+    total = den * math.factorial(top)
+    for e, c in enumerate(num):
+        add_term(terms, e, Fraction(c, total))
+    return Poly.adopt(terms)
 
 
 @lru_cache(maxsize=None)

@@ -3,8 +3,13 @@
 Every algebra in this package (words, commutative monomials, forest
 monomials, rooted forests, tensors thereof) is a free module with a
 hashable basis.  ``LinComb`` stores such an element as a dict
-``basis key -> Fraction`` with no zero coefficients ever kept, so equality
-of dicts is equality of elements.  Subclasses fix how two basis keys
+``basis key -> coefficient`` with no zero coefficients ever kept, so
+equality of dicts is equality of elements.  A coefficient is an exact
+rational in one normal form: an ``int`` when it is integral, a ``Fraction``
+otherwise.  This module is the one place that normalises: ``add_term``,
+``_exact`` and the constructors below.  Code elsewhere must keep true
+division exact (``int / int`` is a ``float``): divide with ``Fraction(n, d)``
+or with a ``Fraction`` operand.  Subclasses fix how two basis keys
 multiply and how a key is rendered; ``Tensor`` pairs two of them.  The law
 kit at the end checks each bialgebra law once, key by key, for any algebra
 described by a ``DoubleBialgebra`` record, such as ``bialgebra.FOREST_SIDE``
@@ -17,22 +22,32 @@ from fractions import Fraction
 from typing import Mapping
 
 
+def _exact(value):
+    """``value`` as an exact rational in normal form: an ``int`` when its
+    denominator is 1, a ``Fraction`` otherwise."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 def add_term(acc: dict, key, coeff) -> None:
-    """Accumulate ``coeff`` on ``key`` in ``acc``, dropping exact zeros."""
+    """Accumulate the int or Fraction ``coeff`` on ``key`` in ``acc``,
+    dropping exact zeros and storing an integral sum as an ``int``."""
     c = acc.get(key)
-    if c is None:
-        if coeff:
-            acc[key] = coeff
-    else:
-        c = c + coeff
-        if c:
-            acc[key] = c
-        else:
-            del acc[key]
+    if c is not None:
+        coeff = c + coeff
+    if coeff:
+        acc[key] = coeff if type(coeff) is int or coeff.denominator != 1 else coeff.numerator
+    elif c is not None:
+        del acc[key]
 
 
 class LinComb:
-    """A finite Fraction-linear combination of hashable basis keys.
+    """A finite linear combination of hashable basis keys with exact
+    rational coefficients, each an ``int`` when integral and a ``Fraction``
+    otherwise (see ``_exact``).
 
     Immutable by convention: no public method mutates ``self.terms`` and
     callers must not either.
@@ -45,7 +60,7 @@ class LinComb:
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for key, coeff in items:
-                add_term(data, key, Fraction(coeff))
+                add_term(data, key, _exact(coeff))
         self.terms = data
 
     # -- vector space structure ------------------------------------------
@@ -58,7 +73,8 @@ class LinComb:
 
     @classmethod
     def basis(cls, key, coeff=1):
-        return cls({key: Fraction(coeff)})
+        coeff = _exact(coeff)
+        return cls.adopt({key: coeff} if coeff else {})
 
     @classmethod
     def one(cls, coeff=1):
@@ -67,7 +83,8 @@ class LinComb:
     @classmethod
     def adopt(cls, terms: dict):
         """The element whose ``terms`` is the finished dict ``terms``, which
-        holds no zero coefficient and is taken over, not copied."""
+        holds no zero coefficient, only normal-form ones (see ``_exact``), and
+        is taken over, not copied."""
         out = cls.__new__(cls)
         out.terms = terms
         return out
@@ -109,8 +126,8 @@ class LinComb:
         return self.adopt({k: -c for k, c in self.terms.items()})
 
     def scale(self, factor):
-        factor = Fraction(factor)
-        return self.adopt({k: c * factor for k, c in self.terms.items()} if factor else {})
+        factor = _exact(factor)
+        return self.adopt({k: _exact(c * factor) for k, c in self.terms.items()} if factor else {})
 
     def __rmul__(self, factor):
         if isinstance(factor, (int, Fraction)):
@@ -154,8 +171,8 @@ class LinComb:
     def __len__(self):
         return len(self.terms)
 
-    def coeff(self, key) -> Fraction:
-        return self.terms.get(key, Fraction(0))
+    def coeff(self, key):
+        return self.terms.get(key, 0)
 
     def map_keys(self, fn, target=None):
         """Linear extension of a basis-key map ``key -> LinComb``."""

@@ -100,7 +100,7 @@ def submonomials(a: Alpha):
 
 def ordered_splits(a: Alpha, parts: int):
     """Ordered decompositions of ``a`` into ``parts`` nonzero summands,
-    paired with the multinomial coefficient a!/(a_1!...a_k!)."""
+    paired with the multinomial coefficient a!/(a_1!...a_k!), an ``int``."""
     base = alpha_factorial(a)
 
     def rec(rest: Alpha, k: int):
@@ -120,7 +120,7 @@ def ordered_splits(a: Alpha, parts: int):
         denom = 1
         for part in split:
             denom *= alpha_factorial(part)
-        yield split, Fraction(base, denom)
+        yield split, base // denom
 
 
 @lru_cache(maxsize=None)
@@ -134,7 +134,7 @@ def multiset_splits(g: Alpha, k: int) -> tuple:
     Returns (sorted parts, weight) pairs as a tuple, shared by the cache.
     """
     if k == 0:
-        return () if g else (((), Fraction(1)),)
+        return () if g else (((), 1),)
     if alpha_len(g) < k:
         return ()
     i = next(j for j, e in enumerate(g) if e)

@@ -126,11 +126,11 @@ def _invariant_fixed_point(a: Alpha) -> Poly:
 @lru_cache(maxsize=None)
 def _invariant_direct(a: Alpha) -> Poly:
     """Iterated-coproduct formula: counit words against binomial polynomials."""
-    state: dict[ForestMono, Fraction] = {forest_mono([a]): Fraction(1)}
+    state: dict[ForestMono, Fraction] = {forest_mono([a]): 1}
     result = Poly.zero()
     k = 1
     while state:
-        hit = Fraction(0)
+        hit = 0
         for f, c in state.items():
             if all(b == X0 for b in f):
                 hit += c
@@ -170,25 +170,29 @@ def poly_invariant_fm(f: ForestMono, route: str = "via-ck") -> Poly:
 
 
 @lru_cache(maxsize=None)
-def mu_value(a: Alpha) -> Fraction:
+def mu_value(a: Alpha) -> int:
     """Value at x^a of the convolution inverse of the substitution counit.
 
     Computed from the sign-flipped fixed point, with the same sums over
     ``multiset_splits`` as ``_invariant_fixed_point``; the law suites check
-    it against the invariant evaluated at -1.
+    it against the invariant evaluated at -1.  Each weight a! w is a_i times
+    the number of ways to deal the letters of x^a / x_i into the parts f, an
+    integer, so by induction every value is an integer.
     """
     a = trim(a)
     if not a:
         raise ValueError("characters take value 1 on the unit; pass a monomial")
-    inner = Fraction(0)
+    a_fact = alpha_factorial(a)
+    total = 0
     for i, e in enumerate(a):
         if not e:
             continue
         for f, w in multiset_splits(alpha_sub(a, unit_exp(i)), i):
+            term = a_fact * w.numerator // w.denominator
             for b in f:
-                w *= mu_value(b)
-            inner += w
-    return -alpha_factorial(a) * inner
+                term *= mu_value(b)
+            total += term
+    return -total
 
 
 mu_character = Character(mu_value, "mu")
@@ -248,7 +252,7 @@ def ds_solve(coeffs: Sequence, max_vertices: int) -> DSSolution:
     a = tuple(Fraction(c) for c in coeffs)
 
     def drive(r: int) -> Fraction:
-        return a[r] if r < len(a) else Fraction(0)
+        return a[r] if r < len(a) else 0
 
     memo: dict = {}
 
@@ -269,7 +273,7 @@ def ds_solve(coeffs: Sequence, max_vertices: int) -> DSSolution:
         for t in all_trees(n):
             c = q(t)
             if c:
-                rows.setdefault(fertility_monomial(t), {})[(t,)] = c
+                add_term(rows.setdefault(fertility_monomial(t), {}), (t,), c)
     entries = {key: HCKElem.adopt(terms) for key, terms in rows.items()}
     return DSSolution(coeffs=a, max_vertices=max_vertices, entries=entries)
 

@@ -321,7 +321,7 @@ def build_forest(fertilities: Sequence[int]) -> Forest:
 def _cut_coproduct_tree(t: RootedTree) -> HCKTensor:
     """Admissible-cut coproduct of one tree, via the grafting cocycle."""
     inner = cut_coproduct(t.children)
-    rows: dict = {((), (t,)): Fraction(1)}
+    rows: dict = {((), (t,)): 1}
     for (left, right), c in inner.terms.items():
         add_term(rows, ((bplus(left),), right), c)
     return HCKTensor.adopt(rows)
@@ -371,7 +371,7 @@ def cut_coproduct_oracle(t: RootedTree) -> HCKTensor:
             b = parent[b]
         return False
 
-    rows: dict = {((), (t,)): Fraction(1)}
+    rows: dict = {((), (t,)): 1}
     for k in range(0, len(edges) + 1):
         for cut in itertools.combinations(edges, k):
             ok = True
@@ -392,7 +392,7 @@ def cut_coproduct_oracle(t: RootedTree) -> HCKTensor:
                         stack.append(c)
             left = _subtree_from(children, root_side, 0)
             pruned = forest(_subtree_from(children, None, v) for v in cut)
-            add_term(rows, ((left,), pruned), Fraction(1))
+            add_term(rows, ((left,), pruned), 1)
     return HCKTensor.adopt(rows)
 
 
@@ -430,7 +430,7 @@ def contract_coproduct_oracle(t: RootedTree) -> HCKTensor:
             return RootedTree(qtree(c) for c in quotient_children[r])
 
         left = qtree(0)
-        add_term(rows, ((left,), block_trees), Fraction(1))
+        add_term(rows, ((left,), block_trees), 1)
     return HCKTensor.adopt(rows)
 
 
@@ -501,7 +501,7 @@ def _contract_coproduct_tree(t: RootedTree) -> HCKTensor:
     for _, o_id, q_id, closed, m in tables[stack.pop()]:
         key = ((trees[q_id],), forest(trees[i] for i in closed + (o_id,)))
         counts[key] = counts.get(key, 0) + m
-    return HCKTensor.adopt({key: Fraction(m) for key, m in counts.items()})
+    return HCKTensor.adopt(counts)
 
 
 def contract_coproduct(f: Forest) -> HCKTensor:
@@ -517,7 +517,7 @@ def counit_cut(e: HCKElem) -> Fraction:
 
 def counit_contract(e: HCKElem) -> Fraction:
     """Character supported on forests of isolated vertices."""
-    total = Fraction(0)
+    total = 0
     for f, c in e.terms.items():
         if all(t is LEAF or t == LEAF for t in f):
             total += c

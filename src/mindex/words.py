@@ -115,7 +115,7 @@ def compose_multinomial(w: Word, arg_words: Sequence[Word]) -> NCPoly:
         raise ArityError(len(w), len(arg_words))
     return NCPoly.product(
         NCPoly.adopt({
-            tuple(a + b for a, b in zip(u, split)): Fraction(multinomial(split))
+            tuple(a + b for a, b in zip(u, split)): multinomial(split)
             for split in _compositions(letter, len(u))
         })
         for letter, u in zip(w, arg_words)
@@ -246,7 +246,7 @@ def word_coproduct(w: Word) -> WordTensor:
             for choice in itertools.product(*per_block):
                 left = tuple(j for j, _, _ in choice)
                 right = tuple(u for _, u, _ in choice)
-                coeff = Fraction(1)
+                coeff = 1
                 for _, _, c in choice:
                     coeff *= c
                 add_term(rows, (left, right), coeff)
@@ -256,7 +256,4 @@ def word_coproduct(w: Word) -> WordTensor:
 def pairing(p: NCPoly, q: NCPoly) -> Fraction:
     """Kronecker pairing making words an orthonormal family."""
     small, large = (p, q) if len(p.terms) <= len(q.terms) else (q, p)
-    return sum(
-        (c * large.terms[w] for w, c in small.terms.items() if w in large.terms),
-        Fraction(0),
-    )
+    return sum(c * large.terms[w] for w, c in small.terms.items() if w in large.terms)

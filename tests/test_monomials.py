@@ -152,7 +152,7 @@ def test_multiset_splits_match_ordered_splits():
             oracle: dict = {}
             for split, mult in ordered_splits(g, k):
                 key = tuple(sorted(split, key=alpha_key))
-                w = mult / (alpha_factorial(g) * math.factorial(k))
+                w = Fraction(mult, alpha_factorial(g) * math.factorial(k))
                 oracle[key] = oracle.get(key, 0) + w
             assert dict(multiset_splits(g, k)) == oracle, (g, k)
 
