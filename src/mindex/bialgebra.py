@@ -6,7 +6,10 @@ unit.  Two coproducts live here:
 
 * ``sub_coproduct`` (substitution type, dual to operadic composition):
   splits a block into parts, down-shifts each part and records the shift
-  orders on the left, with a 1/beta! normalization;
+  orders on the left, with a 1/beta! normalization.  The kernel reads the
+  ordered splits but folds them by their multiset of parts, so each
+  multiset is expanded once; the expansion per ordered split is kept as
+  ``sub_coproduct_block_oracle``;
 * ``graft_coproduct`` (Hopf type, dual to the grafting product): splits a
   block x^a into a head x^h, k-fold down-shifted on the left, and a multiset
   of k nonzero parts bar-multiplied on the right.  The kernel sums over
@@ -43,6 +46,7 @@ from .monomials import (
     ordered_splits,
     submonomials,
     _shift_down_power_mono,
+    _sorted_blocks,
 )
 
 ForestMono = tuple[Alpha, ...]
@@ -52,13 +56,18 @@ X0: Alpha = (1,)
 
 def forest_mono(blocks) -> ForestMono:
     blocks = tuple(blocks)
-    if any(not b for b in blocks):
-        raise ValueError("forest blocks must be nonzero monomials")
-    return tuple(sorted(blocks, key=alpha_key))
+    for b in blocks:
+        if not b or not b[-1] or min(b) < 0:
+            raise ValueError(f"forest blocks must be trimmed nonzero monomials, not {b!r}")
+    return _sorted_blocks(blocks)
 
 
 def fm_mul(a: ForestMono, b: ForestMono) -> ForestMono:
-    return tuple(sorted(a + b, key=alpha_key))
+    if not a:
+        return b
+    if not b:
+        return a
+    return _sorted_blocks(a + b)
 
 
 def fm_len(f: ForestMono) -> int:
@@ -121,10 +130,59 @@ def _sub_coproduct_block(a: Alpha) -> STensor:
     Sums over splittings of the block into k nonzero parts and shift orders
     n_1..n_k per part; the left factor is the single block recording the
     multiset of orders, normalized by 1/k! so that each order multiset is
-    counted once per its stabilizer (equivalently, the 1/beta! form).  The
-    counts mult * prod c are integers, summed per k and divided by k! once;
-    the left block has k letters, so the rows of different k are disjoint.
+    counted once per its stabilizer (equivalently, the 1/beta! form).
+
+    A split's rows do not depend on the order of its parts: the left block
+    counts orders, the right forest is sorted and the coefficient is a
+    product.  So every ordered split is read, its multinomial summed on its
+    multiset of parts, and each multiset expanded once; each distinct part's
+    terms are tabulated once per call.  The counts mult * prod c are
+    integers, summed per k and divided by k! once; the left block has k
+    letters, so the rows of different k are disjoint.  The expansion per
+    ordered split is kept as ``sub_coproduct_block_oracle``.
     """
+    tables: dict = {}
+    rows: dict = {}
+    for k in range(1, alpha_len(a) + 1):
+        folded: dict = {}
+        for split, mult in ordered_splits(a, k):
+            parts = tuple(sorted(split))
+            folded[parts] = folded.get(parts, 0) + mult
+        counts: dict = {}
+        for parts, mult in folded.items():
+            for part in parts:
+                if part not in tables:
+                    tables[part] = [
+                        (order, (alpha_len(mono), mono), c)
+                        for order in range(alpha_weight(part) + 1)
+                        for mono, c in _shift_down_power_mono(part, order).terms.items()
+                    ]
+            _expand_rows(counts, [tables[part] for part in parts], mult)
+        rows.update(STensor.adopt(counts).scale(Fraction(1, math.factorial(k))).terms)
+    return STensor.adopt(rows)
+
+
+def _expand_rows(counts: dict, per_slot, mult: int) -> None:
+    """Add the positive integer ``mult * prod c`` to the row of each choice
+    of one ``(order, (len, mono), c)`` per slot: the left block counts the
+    orders, the right forest holds the monomials, put in the block order by
+    sorting their ``(len, mono)`` keys."""
+    for choice in itertools.product(*per_slot):
+        coeff = mult
+        left = [0] * (max(order for order, _, _ in choice) + 1)
+        for order, _, c in choice:
+            left[order] += 1
+            coeff *= c
+        right = sorted([len_mono for _, len_mono, _ in choice])
+        key = ((tuple(left),), tuple([mono for _, mono in right]))
+        counts[key] = counts.get(key, 0) + coeff
+
+
+def sub_coproduct_block_oracle(a: Alpha) -> STensor:
+    """Substitution coproduct of a single block, expanded once per ordered
+    split: each choice of a shift order and a down-shift term per part adds
+    mult * prod c / k! to its row.  Test oracle for the multiset fold of
+    ``_sub_coproduct_block``."""
     rows: dict = {}
     for k in range(1, alpha_len(a) + 1):
         counts: dict = {}
@@ -137,23 +195,16 @@ def _sub_coproduct_block(a: Alpha) -> STensor:
                 ]
                 for part in split
             ]
-            _expand_rows(counts, per_slot, mult)
+            for choice in itertools.product(*per_slot):
+                coeff = mult
+                left = [0] * (max(order for order, _, _ in choice) + 1)
+                for order, _, c in choice:
+                    left[order] += 1
+                    coeff *= c
+                key = ((tuple(left),), forest_mono([m for _, m, _ in choice]))
+                counts[key] = counts.get(key, 0) + coeff
         rows.update(STensor.adopt(counts).scale(Fraction(1, math.factorial(k))).terms)
     return STensor.adopt(rows)
-
-
-def _expand_rows(counts: dict, per_slot, mult: int) -> None:
-    """Add the positive integer ``mult * prod c`` to the row of each choice
-    of one ``(order, mono, c)`` per slot: the left block counts the orders,
-    the right forest holds the monomials."""
-    for choice in itertools.product(*per_slot):
-        coeff = mult
-        left = [0] * (max(order for order, _, _ in choice) + 1)
-        for order, _, c in choice:
-            left[order] += 1
-            coeff *= c
-        key = ((tuple(left),), forest_mono([m for _, m, _ in choice]))
-        counts[key] = counts.get(key, 0) + coeff
 
 
 @lru_cache(maxsize=None)
@@ -226,7 +277,7 @@ def graft_coproduct(e: SElem) -> STensor:
     return e.map_keys(lambda f: _block_coproduct_fm(f, "graft"), target=STensor)
 
 
-def counit_sub(e: SElem) -> Fraction:
+def counit_sub(e: SElem) -> int | Fraction:
     """Character supported on powers of the single block x_0."""
     total = 0
     for f, c in e.terms.items():
@@ -235,7 +286,7 @@ def counit_sub(e: SElem) -> Fraction:
     return total
 
 
-def counit_graft(e: SElem) -> Fraction:
+def counit_graft(e: SElem) -> int | Fraction:
     """Coefficient of the empty forest."""
     return e.coeff(())
 
@@ -266,14 +317,14 @@ class Character:
     materialized.
     """
 
-    def __init__(self, on_block: Callable[[Alpha], Fraction], name: str = ""):
+    def __init__(self, on_block: Callable[[Alpha], int | Fraction], name: str = ""):
         self._on_block = on_block
         self.name = name
 
-    def block(self, a: Alpha) -> Fraction:
+    def block(self, a: Alpha) -> int | Fraction:
         return self._on_block(a)
 
-    def forest(self, f: ForestMono) -> Fraction:
+    def forest(self, f: ForestMono) -> int | Fraction:
         out = 1
         for b in f:
             out *= self.block(b)
@@ -281,7 +332,7 @@ class Character:
                 break
         return out
 
-    def __call__(self, e: SElem) -> Fraction:
+    def __call__(self, e: SElem) -> int | Fraction:
         return sum(c * self.forest(f) for f, c in e.terms.items())
 
 
@@ -296,7 +347,7 @@ def convolve(f: Character, g: Character, which: str = "graft") -> Character:
     block_fn = _graft_coproduct_block if which == "graft" else _sub_coproduct_block
 
     @lru_cache(maxsize=None)
-    def on_block(a: Alpha) -> Fraction:
+    def on_block(a: Alpha) -> int | Fraction:
         total = 0
         for (left, right), c in block_fn(a).terms.items():
             fl = f.forest(left)

@@ -80,6 +80,12 @@ def alpha_key(a: Alpha):
     return (alpha_len(a), a)
 
 
+def _sorted_blocks(blocks) -> tuple[Alpha, ...]:
+    """``tuple(sorted(blocks, key=alpha_key))`` with both keys in C: a
+    stable sort by letter count after a plain tuple sort."""
+    return tuple(sorted(sorted(blocks), key=sum))
+
+
 def format_alpha(a: Alpha) -> str:
     if not a:
         return "1"
@@ -144,7 +150,7 @@ def multiset_splits(g: Alpha, k: int) -> tuple:
             continue
         w = Fraction(beta[i], alpha_factorial(beta) * g[i])
         for f, c in multiset_splits(alpha_sub(g, beta), k - 1):
-            add_term(out, tuple(sorted(f + (beta,), key=alpha_key)), w * c)
+            add_term(out, _sorted_blocks(f + (beta,)), w * c)
     return tuple(out.items())
 
 

@@ -338,6 +338,7 @@ def law_bialgebra_counits(rng, size):
 def law_sub_homogeneity(rng, size):
     for _ in range(6):
         a = rand_alpha(rng, min(size, 4))
+        assert B.FOREST_SIDE.delta((a,)) == B.sub_coproduct_block_oracle(a), a
         for grade in (B.fm_weight, B.fm_deg):
             assert graded(B.FOREST_SIDE.delta, (a,), grade), (a, grade.__name__)
 

@@ -510,12 +510,12 @@ def contract_coproduct(f: Forest) -> HCKTensor:
     return HCKTensor.product(map(_contract_coproduct_tree, f))
 
 
-def counit_cut(e: HCKElem) -> Fraction:
+def counit_cut(e: HCKElem) -> int | Fraction:
     """Coefficient of the empty forest."""
     return e.coeff(())
 
 
-def counit_contract(e: HCKElem) -> Fraction:
+def counit_contract(e: HCKElem) -> int | Fraction:
     """Character supported on forests of isolated vertices."""
     total = 0
     for f, c in e.terms.items():

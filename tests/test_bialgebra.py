@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from mindex import monomials as M
 from mindex.bialgebra import (
     FOREST_SIDE,
@@ -17,11 +19,13 @@ from mindex.bialgebra import (
     eps_sub_character,
     fm_deg,
     fm_len,
+    fm_mul,
     fm_weight,
     forest_mono,
     graft_coproduct,
     graft_coproduct_block_oracle,
     sub_coproduct,
+    sub_coproduct_block_oracle,
     _antipode_fm,
 )
 from mindex.linear import antipode_law, coassociative, counital, graded
@@ -82,6 +86,31 @@ def test_graft_kernel_matches_ordered_splits_oracle():
     assert len(blocks) == 209
     for a in blocks:
         assert graft_coproduct(block(a)) == graft_coproduct_block_oracle(a), a
+
+
+def test_sub_kernel_matches_ordered_splits_oracle():
+    """The kernel, which expands each multiset of parts once, equals the
+    expansion per ordered split row for row, coefficient types included, on
+    every block of at most 5 letters with indices at most 3."""
+    blocks = list(alphas_up_to(5, 3))
+    assert len(blocks) == 125
+    for a in blocks:
+        kernel, oracle = sub_coproduct(block(a)), sub_coproduct_block_oracle(a)
+        assert kernel == oracle, a
+        assert all(type(c) is type(oracle.terms[k]) for k, c in kernel.terms.items()), a
+
+
+def test_forest_mono_rejects_untrimmed_and_negative_blocks():
+    """A block with a trailing zero or a negative exponent has no place in a
+    forest: ``(1, 0)`` would miss the substitution counit's x_0 test."""
+    for bad in [(), (0,), (1, 0), (2, -1), (-1, 1)]:
+        with pytest.raises(ValueError):
+            forest_mono([(1,), bad])
+    with pytest.raises(ValueError):
+        block((1, 0))
+    f = fm([(1, 1), (1,)])
+    assert fm_mul((), f) is f and fm_mul(f, ()) is f
+    assert fm_mul(f, fm([(0, 1)])) == fm([(0, 1), (1,), (1, 1)])
 
 
 def test_counits():

@@ -21,6 +21,7 @@ from mindex.monomials import (
     shift_up,
     shuffle_splits,
     trim,
+    _sorted_blocks,
 )
 from mindex.selfcheck import alphas_up_to
 from mindex.words import NCPoly, brace
@@ -155,6 +156,18 @@ def test_multiset_splits_match_ordered_splits():
                 w = Fraction(mult, alpha_factorial(g) * math.factorial(k))
                 oracle[key] = oracle.get(key, 0) + w
             assert dict(multiset_splits(g, k)) == oracle, (g, k)
+
+
+def test_block_order_is_alpha_key_order():
+    """``_sorted_blocks`` puts blocks in the ``alpha_key`` order, on every
+    multiset of at most 4 blocks of at most 3 letters with indices at most 3,
+    each drawn in a shuffled order."""
+    rng = random.Random(5)
+    blocks = list(alphas_up_to(3, 3))
+    for r in range(5):
+        for combo in itertools.combinations_with_replacement(blocks, r):
+            drawn = rng.sample(combo, r)
+            assert _sorted_blocks(drawn) == tuple(sorted(drawn, key=alpha_key)), drawn
 
 
 def test_degree_additive_for_novikov():
