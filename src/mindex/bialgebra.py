@@ -22,6 +22,9 @@ unit.  Two coproducts live here:
 Both extend multiplicatively to forests and make the space a double
 bialgebra, described to the law kit of ``linear`` by ``FOREST_SIDE``; the
 kit's ``cointeraction`` checks the defining identity in ``cointeraction_holds``.
+``antipode`` is the antipode of the Hopf coproduct by its connected
+recursion; the CLI uses it, and the law suites check it against the closed
+formula ``morphisms.antipode_via_mu``.
 """
 
 from __future__ import annotations
@@ -158,7 +161,9 @@ def _sub_coproduct_block(a: Alpha) -> STensor:
                         for mono, c in _shift_down_power_mono(part, order).terms.items()
                     ]
             _expand_rows(counts, [tables[part] for part in parts], mult)
-        rows.update(STensor.adopt(counts).scale(Fraction(1, math.factorial(k))).terms)
+        k_fact = math.factorial(k)
+        for key, count in counts.items():
+            rows[key] = count // k_fact if not count % k_fact else Fraction(count, k_fact)
     return STensor.adopt(rows)
 
 

@@ -202,7 +202,7 @@ VERBS = [
     ("mu", "inverse-character value of a monomial",
      lambda a: Mo.mu_character.forest(parse_forest_mono(a.expr)), _EXPR),
     ("antipode", "antipode of a forest-monomial combination",
-     lambda a: Mo.antipode_via_mu(parse_selem(a.expr)), _EXPR),
+     lambda a: B.antipode(parse_selem(a.expr)), _EXPR),
     ("dims", "table of graded dimensions", _dims,
      [("--nmax", {"type": _positive_int, "default": 5}), ("--kmax", {"type": int, "default": 5})]),
     ("ds", "expand the grafting fixed-point series",

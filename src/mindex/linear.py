@@ -91,13 +91,23 @@ class LinComb:
 
     @classmethod
     def product(cls, factors):
-        """``one()`` times each factor in turn, stopping at the first zero:
-        the factors after it are never drawn from ``factors``."""
-        out = cls.one()
-        for f in factors:
-            out = out * f
-            if not out.terms:
-                break
+        """The first factor times each later one in turn, ``one()`` if there
+        is none, stopping at the first zero: the factors after it are never
+        drawn from ``factors``.  A first factor of another type is multiplied
+        onto ``one()``, so it scales or raises ``TypeError`` as ``__mul__``
+        does."""
+        factors = iter(factors)
+        for out in factors:
+            break
+        else:
+            return cls.one()
+        if type(out) is not cls:
+            out = cls.one() * out
+        if out.terms:
+            for f in factors:
+                out = out * f
+                if not out.terms:
+                    break
         return out
 
     def is_zero(self) -> bool:

@@ -5,12 +5,15 @@ the exponent of x_i; the empty tuple is the unit marker and never appears
 inside nonzero polynomial terms.  The module carries the shift derivations,
 the two pre-Lie products (substitution-style and Novikov-style) with their
 multi-argument extensions, and the iterated reduced splitting coproduct.
+``_shift_down_power_mono`` caches the down-shift powers of one monomial,
+each one step from the power below it.
 
 It also holds the splitting kernels.  ``multiset_splits`` gives the splits
 of a block into a multiset of k parts by the exponential formula; the graft
 coproduct, the fixed-point invariant and ``mu`` all read it.
-``ordered_splits`` walks the ordered splits; it serves the substitution
-coproduct, ``shuffle_splits`` and the graft oracle.
+``ordered_splits`` walks the ordered splits as integer vectors, with an
+explicit stack; it serves the substitution coproduct, ``shuffle_splits``
+and the graft oracle.
 """
 
 from __future__ import annotations
@@ -104,29 +107,72 @@ def submonomials(a: Alpha):
         yield trim(exps)
 
 
+def _trimmed(exps: Alpha) -> Alpha:
+    """``exps`` without its trailing zeros, unchecked: the caller knows
+    every entry is a natural number."""
+    n = len(exps)
+    while n and not exps[n - 1]:
+        n -= 1
+    return exps[:n]
+
+
 def ordered_splits(a: Alpha, parts: int):
     """Ordered decompositions of ``a`` into ``parts`` nonzero summands,
-    paired with the multinomial coefficient a!/(a_1!...a_k!), an ``int``."""
-    base = alpha_factorial(a)
+    paired with the multinomial coefficient a!/(a_1!...a_k!), an ``int``.
 
-    def rec(rest: Alpha, k: int):
-        if k == 1:
-            if rest:
-                yield (rest,)
-            return
-        for head in submonomials(rest):
-            if not head:
-                continue
-            if alpha_len(head) > alpha_len(rest) - (k - 1):
-                continue
-            for tail in rec(alpha_sub(rest, head), k - 1):
-                yield (head,) + tail
+    A depth-first walk with an explicit stack, in ``itertools.product``
+    order of each part over the remainder's exponent ranges.  The remainder
+    is carried untrimmed, so a head divides it by construction and needs no
+    check; the multinomial is carried down as a product of binomials
+    C(rest_i, head_i).  The heads of each remainder are listed once per
+    call, each trimmed once, with their letter count and binomial product."""
+    if parts < 1 or sum(a) < parts:
+        return
+    if parts == 1:
+        yield (a,), 1
+        return
+    binom = [[math.comb(r, h) for h in range(r + 1)] for r in range(max(a) + 1)]
+    table: dict = {}
 
-    for split in rec(a, parts):
-        denom = 1
-        for part in split:
-            denom *= alpha_factorial(part)
-        yield split, base // denom
+    def heads(rest: Alpha) -> list:
+        """(letters, head, remainder, trimmed remainder, binomial product)
+        of every nonzero head of ``rest``, in product order."""
+        out = table.get(rest)
+        if out is None:
+            out = table[rest] = []
+            for head in itertools.product(*[range(e + 1) for e in rest]):
+                n = sum(head)
+                if n:
+                    rem = tuple([r - h for r, h in zip(rest, head)])
+                    b = 1
+                    for r, h in zip(rest, head):
+                        b *= binom[r][h]
+                    out.append((n, _trimmed(head), rem, _trimmed(rem), b))
+        return out
+
+    prefix: list = []
+    # one entry per open part: its heads still to try, the letters left
+    # and the multinomial of the parts before it
+    stack = [(iter(heads(a)), sum(a), 1)]
+    while stack:
+        entries, letters, mult = stack[-1]
+        if len(stack) < parts - 1:
+            most = letters - parts + len(stack)
+            entry = next((x for x in entries if x[0] <= most), None)
+            if entry is not None:
+                n, part, rem, _, b = entry
+                prefix.append(part)
+                stack.append((iter(heads(rem)), letters - n, mult * b))
+                continue
+        else:
+            # the last two parts: every head but the whole remainder
+            done = tuple(prefix)
+            for n, part, _, last, b in entries:
+                if n < letters:
+                    yield done + (part, last), mult * b
+        stack.pop()
+        if prefix:
+            prefix.pop()
 
 
 @lru_cache(maxsize=None)
@@ -225,17 +271,31 @@ def shift_up_power(p: CPoly, n: int) -> CPoly:
     return p
 
 
-def shift_down_power(p: CPoly, n: int) -> CPoly:
-    for _ in range(n):
-        p = shift_down(p)
-        if p.is_zero():
-            break
-    return p
+# Cold calls at a high order first fill every _SHIFT_STRIDE-th order below,
+# so the self-calls nest at most n / _SHIFT_STRIDE + _SHIFT_STRIDE deep.
+_SHIFT_STRIDE = 32
 
 
 @lru_cache(maxsize=None)
 def _shift_down_power_mono(a: Alpha, n: int) -> CPoly:
-    return shift_down_power(CPoly.basis(a), n)
+    """D^n(x^a), D the down-shift: one step of D on the cached D^(n-1)(x^a),
+    each term x^b giving b_i x^(b - e_i + e_(i-1)) for every i >= 1."""
+    if n == 0:
+        return CPoly.basis(a)
+    if n > alpha_weight(a):
+        return CPoly.zero()
+    if n > _SHIFT_STRIDE:
+        _shift_down_power_mono(a, n - _SHIFT_STRIDE)
+    data: dict = {}
+    for b, c in _shift_down_power_mono(a, n - 1).terms.items():
+        for i in range(1, len(b)):
+            e = b[i]
+            if e:
+                lowered = list(b)
+                lowered[i] = e - 1
+                lowered[i - 1] += 1
+                add_term(data, _trimmed(tuple(lowered)), c * e)
+    return CPoly.adopt(data)
 
 
 def prelie(p: CPoly, q: CPoly) -> CPoly:

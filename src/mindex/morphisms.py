@@ -7,8 +7,10 @@ weighting by inverse symmetry factors.  ``poly_invariant`` computes the
 fundamental polynomial invariant by three routes: through the tree lift,
 through a summation fixed point, and directly from the iterated reduced
 coproduct.  Its values at -1 give the character inverting the substitution
-counit, which in turn yields the closed antipode formula.  ``ds_solve``
-expands the grafting fixed-point series driven by a coefficient sequence.
+counit, which in turn yields the closed antipode formula, computed block by
+block; it is the oracle of ``bialgebra.antipode``, which the CLI uses.
+``ds_solve`` expands the grafting fixed-point series driven by a coefficient
+sequence.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .bialgebra import (
     SElem,
     X0,
     _block_coproduct_fm,
+    _sub_coproduct_block,
     forest_mono,
-    sub_coproduct,
 )
 from .exact import Poly, binomial_poly, indefinite_sum
 from .linear import add_term, is_morphism
@@ -200,9 +202,16 @@ mu_character = Character(mu_value, "mu")
 
 def antipode_via_mu(e: SElem) -> SElem:
     """Closed antipode: feed mu into the left slot of the substitution
-    coproduct."""
+    coproduct.  ``(mu x id) delta`` is an algebra map, as ``delta`` is
+    multiplicative and mu a character, so each forest goes to the product
+    of its blocks' images and no forest-level coproduct is built."""
+    return e.map_keys(lambda f: SElem.product(map(_antipode_via_mu_block, f)))
+
+
+def _antipode_via_mu_block(a: Alpha) -> SElem:
+    """``(mu x id) delta`` of the single block x^a."""
     data: dict = {}
-    for (left, right), c in sub_coproduct(e).terms.items():
+    for (left, right), c in _sub_coproduct_block(a).terms.items():
         v = mu_character.forest(left)
         if v:
             add_term(data, right, c * v)

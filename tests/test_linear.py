@@ -2,6 +2,8 @@ import ast
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import mindex
 from mindex.bialgebra import SElem, antipode, graft_coproduct, sub_coproduct
 from mindex.exact import Poly
@@ -27,6 +29,17 @@ def test_product_stops_at_the_first_zero():
     assert Poly.product([]) == Poly.one()
     assert Poly.product([Poly({1: 1, 0: 1})] * 2) == Poly({2: 1, 1: 2, 0: 1})
     assert Poly.product(factors()).is_zero() and len(seen) == 2
+
+
+def test_product_starts_from_the_first_factor():
+    x = Poly.x()
+    assert Poly.product([x]) == x
+    assert Poly.product(iter([x, x])) == x * x
+    assert Poly.product([3, x]) == 3 * x
+    with pytest.raises(TypeError):
+        Poly.product([x, SElem.block((1,))])
+    with pytest.raises(TypeError):
+        Poly.product([SElem.block((1,)), x])
 
 
 def test_only_linear_builds_elements():

@@ -10,6 +10,7 @@ from mindex.monomials import (
     alpha_factorial,
     alpha_key,
     alpha_len,
+    alpha_weight,
     format_alpha,
     multiset_splits,
     novikov,
@@ -21,8 +22,10 @@ from mindex.monomials import (
     shift_up,
     shuffle_splits,
     trim,
+    _shift_down_power_mono,
     _sorted_blocks,
 )
+from mindex.exact import multinomial
 from mindex.selfcheck import alphas_up_to
 from mindex.words import NCPoly, brace
 
@@ -156,6 +159,84 @@ def test_multiset_splits_match_ordered_splits():
                 w = Fraction(mult, alpha_factorial(g) * math.factorial(k))
                 oracle[key] = oracle.get(key, 0) + w
             assert dict(multiset_splits(g, k)) == oracle, (g, k)
+
+
+def _weak_compositions(n: int, k: int):
+    """Every k-tuple of naturals with sum n."""
+    if k == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _weak_compositions(n - first, k - 1):
+            yield (first,) + rest
+
+
+def test_ordered_splits_match_slot_by_slot_enumeration():
+    """The walk against an independent enumeration: deal each exponent a_i
+    into k slots, drop the deals that leave a slot with no letter, and take
+    the multinomial as the product over i of the multinomials of the deals
+    of a_i.  Same splits, multinomials and yield count, on every block and
+    part count."""
+    for a in alphas_up_to(6, 3):
+        for k in range(1, alpha_len(a) + 1):
+            expected = {}
+            for deal in itertools.product(*(_weak_compositions(e, k) for e in a)):
+                slots = list(zip(*deal))
+                if all(map(any, slots)):
+                    split = tuple(map(trim, slots))
+                    expected[split] = math.prod(map(multinomial, deal))
+            walked = list(ordered_splits(a, k))
+            assert len(walked) == len(expected), (a, k)
+            assert dict(walked) == expected, (a, k)
+            assert all(type(mult) is int for _, mult in walked), (a, k)
+
+
+def test_ordered_splits_order():
+    """The walk yields the heads in ``itertools.product`` order of the
+    remainder's exponents, depth first."""
+    assert list(ordered_splits((2, 1), 2)) == [
+        (((0, 1), (2,)), 1),
+        (((1,), (1, 1)), 2),
+        (((1, 1), (1,)), 2),
+        (((2,), (0, 1)), 1),
+    ]
+    assert list(ordered_splits((2, 0, 1), 2)) == [
+        (((0, 0, 1), (2,)), 1),
+        (((1,), (1, 0, 1)), 2),
+        (((1, 0, 1), (1,)), 2),
+        (((2,), (0, 0, 1)), 1),
+    ]
+    assert list(ordered_splits((1, 1, 1), 3)) == [
+        (((0, 0, 1), (0, 1), (1,)), 1),
+        (((0, 0, 1), (1,), (0, 1)), 1),
+        (((0, 1), (0, 0, 1), (1,)), 1),
+        (((0, 1), (1,), (0, 0, 1)), 1),
+        (((1,), (0, 0, 1), (0, 1)), 1),
+        (((1,), (0, 1), (0, 0, 1)), 1),
+    ]
+    assert list(ordered_splits((1, 1), 3)) == list(ordered_splits((1, 1), 0)) == []
+
+
+def test_shift_down_powers_match_repeated_shift_down():
+    """Each cached power, one step from the power below it, against
+    ``shift_down`` applied n times: same terms, order and coefficient types,
+    through the first order past the weight, where it is zero."""
+    for a in alphas_up_to(6, 4):
+        p = CPoly.basis(a)
+        for n in range(alpha_weight(a) + 2):
+            got = _shift_down_power_mono(a, n)
+            assert [(m, type(c), c) for m, c in got.terms.items()] == [
+                (m, type(c), c) for m, c in p.terms.items()
+            ], (a, n)
+            p = shift_down(p)
+        assert got.is_zero(), a
+
+
+def test_shift_down_power_of_a_deep_block_does_not_recurse():
+    """A cold call at order 1,500 stays far from the recursion limit."""
+    a = (0,) * 1500 + (1,)
+    assert _shift_down_power_mono(a, 1500) == CPoly.basis((1,))
+    assert _shift_down_power_mono(a, 1501).is_zero()
 
 
 def test_block_order_is_alpha_key_order():

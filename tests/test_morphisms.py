@@ -1,12 +1,21 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from mindex.bialgebra import FOREST_SIDE, SElem, antipode, convolve, eps_sub_character, forest_mono
+from mindex.bialgebra import (
+    FOREST_SIDE,
+    SElem,
+    antipode,
+    convolve,
+    eps_sub_character,
+    forest_mono,
+    sub_coproduct,
+)
 from mindex.exact import Poly, bernoulli
-from mindex.monomials import alpha_deg, alpha_factorial, trim
+from mindex.monomials import alpha_deg, alpha_factorial, alpha_len, trim
 from mindex.morphisms import (
     antipode_via_mu,
     ds_solve,
@@ -21,7 +30,7 @@ from mindex.morphisms import (
     tree_lift_fm,
     tree_lift_is_morphism,
 )
-from mindex.linear import is_morphism
+from mindex.linear import add_term, is_morphism
 from mindex.selfcheck import alphas_up_to, law_lift_routes
 from mindex.trees import (
     LEAF,
@@ -194,6 +203,26 @@ def test_antipode_routes_agree():
     assert antipode_via_mu(SElem.basis(f)) == SElem.basis(f)
     g = forest_mono([(1, 1), (1,)])
     assert antipode_via_mu(SElem.basis(g)) == antipode(SElem.basis(g))
+
+
+def test_closed_antipode_block_by_block_matches_the_forest_coproduct():
+    """``antipode_via_mu`` multiplies the blocks' images under
+    ``(mu x id) delta``; against mu fed into the left slot of the whole
+    forest's substitution coproduct, on every two-block forest of at most
+    5 letters with indices at most 2."""
+    for a, b in itertools.combinations_with_replacement(list(alphas_up_to(4, 2)), 2):
+        if alpha_len(a) + alpha_len(b) > 5:
+            continue
+        e = SElem.basis(forest_mono([a, b]))
+        expected: dict = {}
+        for (left, right), c in sub_coproduct(e).terms.items():
+            v = mu_character.forest(left)
+            if v:
+                add_term(expected, right, c * v)
+        got = antipode_via_mu(e).terms
+        assert {f: (type(c), c) for f, c in got.items()} == {
+            f: (type(c), c) for f, c in expected.items()
+        }, (a, b)
 
 
 def test_antipode_closed_fixtures():
