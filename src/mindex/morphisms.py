@@ -47,7 +47,6 @@ from .monomials import (
 from .trees import (
     TREE_SIDE,
     HCKElem,
-    RootedTree,
     all_trees,
     fertility_monomial,
     format_forest,
@@ -253,36 +252,31 @@ def ds_solve(coeffs: Sequence, max_vertices: int) -> DSSolution:
     """Expand the grafting fixed point through the given vertex count.
 
     ``coeffs`` is the driving coefficient sequence, zero beyond its end;
-    the recursion assigns a tree with root fertility r the coefficient
-    a_r * r!/(multiplicities!) times the child coefficients.
+    a tree with root fertility r gets a_r * r!/(multiplicities!) times its
+    children's coefficients.  With ``den`` the common denominator of the
+    a_r, ``den^size`` times that is an integer, computed in one pass over
+    ``all_trees`` in size order (children first), where each division by a
+    multiplicity's factorial is exact.
     """
     if max_vertices < 1:
         raise ValueError("max_vertices must be >= 1")
     a = tuple(Fraction(c) for c in coeffs)
-
-    def drive(r: int) -> Fraction:
-        return a[r] if r < len(a) else 0
-
-    memo: dict = {}
-
-    def q(t: RootedTree) -> Fraction:
-        v = memo.get(t.enc)
-        if v is None:
-            r = t.fertility()
-            v = drive(r) * math.factorial(r)
+    den = math.lcm(*(c.denominator for c in a))
+    nums = [c.numerator * (den // c.denominator) for c in a]
+    scaled: dict = {}  # enc -> den^size * coefficient
+    rows: dict[Alpha, dict] = {}  # distinct trees, so no key repeats
+    for n in range(1, max_vertices + 1):
+        den_n = den**n
+        for t in all_trees(n):
+            r = len(t.children)
+            v = nums[r] * math.factorial(r) if r < len(nums) else 0
             for child, mult in t.child_multiplicities():
                 if not v:
                     break
-                v *= q(child) ** mult * Fraction(1, math.factorial(mult))
-            memo[t.enc] = v
-        return v
-
-    rows: dict[Alpha, dict] = {}  # distinct trees, so no key repeats
-    for n in range(1, max_vertices + 1):
-        for t in all_trees(n):
-            c = q(t)
-            if c:
-                add_term(rows.setdefault(fertility_monomial(t), {}), (t,), c)
+                v = v * scaled[child.enc] ** mult // math.factorial(mult)
+            scaled[t.enc] = v
+            if v:
+                add_term(rows.setdefault(fertility_monomial(t), {}), (t,), Fraction(v, den_n))
     entries = {key: HCKElem.adopt(terms) for key, terms in rows.items()}
     return DSSolution(coeffs=a, max_vertices=max_vertices, entries=entries)
 

@@ -4,8 +4,11 @@ A tree is a multiset of child subtrees; the canonical form stores children
 sorted by their nested-tuple encodings, so structural equality is encoding
 equality.  Forests are sorted tuples of trees, the empty forest being the
 unit.  Statistics, printing and the contraction kernel walk the vertices
-on an explicit stack (``_vertices``), so they work at any depth; the cut
-coproduct, the order polynomial and the oracles recurse once per level.
+on an explicit stack (``_vertices``), so they work at any depth; a miss
+in the cut coproduct's or the order polynomial's per-tree memo on a tree of
+64 vertices or more first fills the memo for every subtree, children before
+parents, so calls nest a bounded number of levels at any depth; only the
+oracles recurse once per level.
 ``cut_coproduct`` is the admissible-cut coproduct defined through
 the grafting cocycle (with a direct edge-cut oracle for cross-checking);
 ``contract_coproduct`` extracts vertex partitions into subtrees and
@@ -22,6 +25,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .exact import Poly, indefinite_sum
@@ -36,6 +40,8 @@ from .monomials import (
     unit_exp,
 )
 
+_enc = attrgetter("enc")  # the canonical sort key, read in C
+
 
 class RootedTree:
     """Unordered rooted tree in canonical form."""
@@ -43,7 +49,7 @@ class RootedTree:
     __slots__ = ("children", "enc", "size")
 
     def __init__(self, children: Iterable["RootedTree"] = ()):
-        kids = tuple(sorted(children, key=lambda t: t.enc))
+        kids = tuple(sorted(children, key=_enc))
         self.children = kids
         self.enc = tuple(t.enc for t in kids)
         self.size = 1 + sum(t.size for t in kids)
@@ -92,11 +98,11 @@ Forest = tuple[RootedTree, ...]
 
 
 def forest(trees: Iterable[RootedTree]) -> Forest:
-    return tuple(sorted(trees, key=lambda t: t.enc))
+    return tuple(sorted(trees, key=_enc))
 
 
 def forest_mul(a: Forest, b: Forest) -> Forest:
-    return tuple(sorted(a + b, key=lambda t: t.enc))
+    return tuple(sorted(a + b, key=_enc))
 
 
 def forest_size(f: Forest) -> int:
@@ -192,12 +198,16 @@ def plane_count(t: RootedTree) -> int:
 
 
 def fertility_monomial(t: RootedTree) -> Alpha:
-    """Exponent vector counting vertices by fertility."""
-    counts: dict[int, int] = {}
-    for node in _vertices(t):
-        k = len(node.children)
-        counts[k] = counts.get(k, 0) + 1
-    return trim(counts.get(i, 0) for i in range(max(counts) + 1))
+    """Exponent vector counting vertices by fertility, on an inlined walk."""
+    counts = [0] * t.size  # no vertex has more than size - 1 children
+    stack = [t]
+    while stack:
+        kids = stack.pop().children
+        counts[len(kids)] += 1
+        stack += kids
+    while not counts[-1]:  # stops at the leaves' count
+        counts.pop()
+    return tuple(counts)
 
 
 def tree_stats(t: RootedTree) -> tuple[int, int, Alpha]:
@@ -210,27 +220,20 @@ def tree_stats(t: RootedTree) -> tuple[int, int, Alpha]:
 
 @lru_cache(maxsize=None)
 def all_trees(n: int) -> tuple[RootedTree, ...]:
-    """All canonical rooted trees with exactly n vertices."""
+    """All canonical rooted trees with exactly n vertices, sorted by ``enc``:
+    a root over each multiset of smaller trees with n - 1 vertices in all,
+    each multiset once, as ``rec`` takes nondecreasing indices into the
+    (size, enc)-ordered distinct trees."""
     if n < 1:
         return ()
     if n == 1:
         return (LEAF,)
-    out = (RootedTree(f) for f in _forests_of_size(n - 1))
-    return tuple(sorted(out, key=lambda t: t.enc))
-
-
-@lru_cache(maxsize=None)
-def _forests_of_size(n: int) -> tuple[Forest, ...]:
-    """All multisets of trees with total vertex count n, each once: ``rec``
-    takes nondecreasing indices into the (size, enc)-ordered distinct trees."""
-    if n == 0:
-        return ((),)
-    pool = [t for m in range(1, n + 1) for t in all_trees(m)]
-    out: list[Forest] = []
+    pool = [t for m in range(1, n) for t in all_trees(m)]
+    out: list[RootedTree] = []
 
     def rec(remaining: int, start: int, acc: list[RootedTree]):
         if remaining == 0:
-            out.append(forest(acc))
+            out.append(RootedTree(acc))  # which sorts the children by enc
             return
         for idx in range(start, len(pool)):
             t = pool[idx]
@@ -240,8 +243,8 @@ def _forests_of_size(n: int) -> tuple[Forest, ...]:
             rec(remaining - t.size, idx, acc)
             acc.pop()
 
-    rec(n, 0, [])
-    return tuple(sorted(out, key=forest_key))
+    rec(n - 1, 0, [])
+    return tuple(sorted(out, key=_enc))
 
 
 def trees_with_monomial(a: Alpha) -> tuple[RootedTree, ...]:
@@ -265,7 +268,7 @@ def _twm(a: Alpha) -> tuple[RootedTree, ...]:
         rest = alpha_sub(a, unit_exp(r))
         for kids in _child_multisets(rest, r, None):
             found.add(RootedTree(kids))
-    return tuple(sorted(found, key=lambda t: t.enc))
+    return tuple(sorted(found, key=_enc))
 
 
 def _child_multisets(rest: Alpha, r: int, low: RootedTree | None):
@@ -308,7 +311,7 @@ def build_forest(fertilities: Sequence[int]) -> Forest:
             # ascending order keeps enough roots around: if the first i
             # fertilities summed past i-1, the tail would push the total
             # beyond n-1, already rejected above
-            roots.sort(key=lambda t: t.enc)
+            roots.sort(key=_enc)
             adopted, roots = roots[:k], roots[k:]
             roots.append(RootedTree(adopted))
     return forest(roots)
@@ -317,9 +320,27 @@ def build_forest(fertilities: Sequence[int]) -> Forest:
 # -- coproducts -----------------------------------------------------------
 
 
+_SHALLOW = 64  # a tree with fewer vertices has fewer levels
+
+
+def _subtrees_bottom_up(t: RootedTree):
+    """What a memoised per-tree function asks for on a miss, before it
+    reads its children.  A tree of fewer than ``_SHALLOW`` vertices needs
+    nothing: recursing into its children nests fewer than ``_SHALLOW``
+    levels.  A larger one gets every subtree below its root, children before
+    parents: each of those calls then finds its children cached, so calls
+    nest one level at most, whatever the depth of t."""
+    if t.size < _SHALLOW:
+        return ()
+    nodes = list(_vertices(t))
+    return itertools.islice(reversed(nodes), len(nodes) - 1)
+
+
 @lru_cache(maxsize=None)
 def _cut_coproduct_tree(t: RootedTree) -> HCKTensor:
     """Admissible-cut coproduct of one tree, via the grafting cocycle."""
+    for node in _subtrees_bottom_up(t):
+        _cut_coproduct_tree(node)
     inner = cut_coproduct(t.children)
     rows: dict = {((), (t,)): 1}
     for (left, right), c in inner.terms.items():
@@ -330,8 +351,7 @@ def _cut_coproduct_tree(t: RootedTree) -> HCKTensor:
 def cut_coproduct(f: Forest) -> HCKTensor:
     """Admissible-cut coproduct: rooted remainder on the left, pruned
     forest on the right; multiplicative over forests."""
-    # the factors first, so that product adds no frame to the recursion
-    return HCKTensor.product(list(map(_cut_coproduct_tree, f)))
+    return HCKTensor.product(map(_cut_coproduct_tree, f))
 
 
 def _tree_edges(t: RootedTree) -> tuple[list[list[int]], list[int]]:
@@ -536,8 +556,9 @@ TREE_SIDE = DoubleBialgebra(
 
 @lru_cache(maxsize=None)
 def _strict_order_poly_tree(t: RootedTree) -> Poly:
-    # the factors first, so that product adds no frame to the recursion
-    return indefinite_sum(Poly.product(list(map(_strict_order_poly_tree, t.children))))
+    for node in _subtrees_bottom_up(t):
+        _strict_order_poly_tree(node)
+    return indefinite_sum(Poly.product(map(_strict_order_poly_tree, t.children)))
 
 
 def strict_order_poly(f: Forest) -> Poly:

@@ -170,8 +170,10 @@ def test_exit_codes():
 
 
 def test_cli_deep_tree_exits_1_without_traceback():
-    # the cut coproduct still recurses once per tree level
-    cmd = [sys.executable, "-m", "mindex.cli", "Delta-ck", "ladder:1100"]
+    # ordering two deep ladders compares their nested encodings, which
+    # recurses in C once per level, past the C recursion limit of every
+    # supported Python
+    cmd = [sys.executable, "-m", "mindex.cli", "Delta-ck", "B[ladder:20000,ladder:20000]"]
     out = subprocess.run(cmd, capture_output=True, text=True)
     assert out.returncode == 1
     assert out.stderr.startswith("error:")

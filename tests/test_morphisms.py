@@ -36,8 +36,10 @@ from mindex.trees import (
     LEAF,
     TREE_SIDE,
     HCKElem,
+    all_trees,
     bplus,
     corolla,
+    fertility_monomial,
     ladder,
     plane_count,
     trees_with_monomial,
@@ -275,6 +277,55 @@ def test_ds_plane_count_identity():
             [((t,), factor * plane_count(t)) for t in trees_with_monomial(a)]
         )
         assert elem == want, a
+
+
+def _ds_reference(coeffs, max_vertices):
+    """The Fraction recursion ``ds_solve`` replaced: a tree with root
+    fertility r gets a_r * r!/prod(mult!) * prod(child coefficient^mult),
+    grouped by fertility monomial, in ``all_trees`` order."""
+    a = [Fraction(c) for c in coeffs]
+    memo = {}
+
+    def q(t):
+        if t.enc not in memo:
+            r = len(t.children)
+            v = (a[r] if r < len(a) else 0) * math.factorial(r)
+            for child, mult in t.child_multiplicities():
+                v *= q(child) ** mult * Fraction(1, math.factorial(mult))
+            memo[t.enc] = v
+        return memo[t.enc]
+
+    rows = {}
+    for n in range(1, max_vertices + 1):
+        for t in all_trees(n):
+            if q(t):
+                rows.setdefault(fertility_monomial(t), {})[(t,)] = q(t)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [1, -1, 0, Fraction(1, 7), Fraction(1, 3)],
+        [Fraction(-2, 3), 0, Fraction(5, 7), -4],
+        [2, Fraction(-1, 3), Fraction(1, 21), 0, Fraction(7, 9)],
+        [1, 1, Fraction(1, 2), Fraction(1, 6)],
+        [Fraction(3, 7)],
+        [0, 1],
+        [],
+    ],
+)
+def test_ds_integer_pass_matches_fraction_recursion(coeffs):
+    for max_vertices in range(1, 10):
+        sol = ds_solve(coeffs, max_vertices)
+        assert sol.coeffs == tuple(Fraction(c) for c in coeffs)
+        assert sol.max_vertices == max_vertices
+        want = _ds_reference(coeffs, max_vertices)
+        assert list(sol.entries) == list(want), max_vertices
+        for a, elem in sol.entries.items():
+            assert list(elem.terms.items()) == list(want[a].items()), (max_vertices, a)
+            for c in elem.terms.values():
+                assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
 
 
 def test_lift_is_double_morphism():

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -35,6 +36,8 @@ from mindex.trees import (
     symmetry_factor,
     tree_stats,
     trees_with_monomial,
+    _cut_coproduct_tree,
+    _strict_order_poly_tree,
 )
 
 T_A = bplus([ladder(2), LEAF])  # root of fertility 2 with a leaf and a chain
@@ -105,8 +108,68 @@ def test_deep_trees_print_and_parse():
         assert tree_stats(t) == stats
 
 
+A000081 = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
+
+
 def test_enumeration_counts():
-    assert [len(all_trees(n)) for n in range(1, 8)] == [1, 1, 2, 4, 9, 20, 48]
+    """``all_trees(n)`` lists the rooted trees on n vertices (OEIS A000081),
+    each once, strictly increasing by ``enc``."""
+    for n, count in enumerate(A000081, start=1):
+        trees = all_trees(n)
+        assert len(trees) == count, n
+        assert all(s.enc < t.enc for s, t in zip(trees, trees[1:])), n
+        assert all(t.size == n for t in trees), n
+
+
+def _fertility_reference(t):
+    """Counter of child counts over an explicit-stack walk, as a trimmed vector."""
+    counts, stack = Counter(), [t]
+    while stack:
+        node = stack.pop()
+        counts[len(node.children)] += 1
+        stack += node.children
+    return tuple(counts[k] for k in range(max(counts) + 1))
+
+
+def test_fertility_monomial_matches_counter_reference():
+    for t in list(trees_up_to(10)) + [ladder(3000), corolla(3000), bplus([ladder(5), corolla(4)])]:
+        assert fertility_monomial(t) == _fertility_reference(t), t
+    assert fertility_monomial(ladder(3000)) == (1, 2999)
+    assert fertility_monomial(LEAF) == (1,)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_ladder_cut_and_order_poly_under_a_low_recursion_limit():
+    """A memo miss fills every subtree's entry first, children before
+    parents, so no call nests once per level: a ladder deeper than the
+    recursion limit gets the values it gets at the default limit."""
+    low = _stack_depth() + 60
+    t = ladder(low + 40)
+
+    def cold():
+        _cut_coproduct_tree.cache_clear()
+        _strict_order_poly_tree.cache_clear()
+        return cut_coproduct((t,)), strict_order_poly((t,))
+
+    want = cold()
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(low)
+    try:
+        got = cold()
+    finally:
+        sys.setrecursionlimit(old)
+    assert got == want
+    k = t.size  # cut a ladder below any of its k levels, or not at all
+    assert want[0] == HCKTensor(
+        {((ladder(k - j),) if j < k else (), (ladder(j),) if j else ()): 1 for j in range(k + 1)}
+    )
+    assert want[1] == binomial_poly(k)
 
 
 def test_trees_with_monomial_fixtures():
