@@ -5,10 +5,10 @@ sorted by their nested-tuple encodings, so structural equality is encoding
 equality.  Forests are sorted tuples of trees, the empty forest being the
 unit.  Statistics, printing and the contraction kernel walk the vertices
 on an explicit stack (``_vertices``), so they work at any depth; a miss
-in the cut coproduct's or the order polynomial's per-tree memo on a tree of
-64 vertices or more first fills the memo for every subtree, children before
-parents, so calls nest a bounded number of levels at any depth; only the
-oracles recurse once per level.
+in the cut coproduct's or the order polynomial's per-tree memo fills the
+memo for every missing subtree in one pass, children before parents, so no
+call nests inside another at any depth; only the oracles recurse once per
+level.
 ``cut_coproduct`` is the admissible-cut coproduct defined through
 the grafting cocycle (with a direct edge-cut oracle for cross-checking);
 ``contract_coproduct`` extracts vertex partitions into subtrees and
@@ -198,13 +198,10 @@ def plane_count(t: RootedTree) -> int:
 
 
 def fertility_monomial(t: RootedTree) -> Alpha:
-    """Exponent vector counting vertices by fertility, on an inlined walk."""
+    """Exponent vector counting vertices by fertility."""
     counts = [0] * t.size  # no vertex has more than size - 1 children
-    stack = [t]
-    while stack:
-        kids = stack.pop().children
-        counts[len(kids)] += 1
-        stack += kids
+    for node in _vertices(t):
+        counts[len(node.children)] += 1
     while not counts[-1]:  # stops at the leaves' count
         counts.pop()
     return tuple(counts)
@@ -320,27 +317,35 @@ def build_forest(fertilities: Sequence[int]) -> Forest:
 # -- coproducts -----------------------------------------------------------
 
 
-_SHALLOW = 64  # a tree with fewer vertices has fewer levels
+def _filled(memo: dict, step, t: RootedTree):
+    """``memo[t]``.  A miss fills the memo in one pass: every subtree missing
+    from it, children before parents, gets ``step`` of itself, which finds
+    its children's values in the memo.  So no call nests inside another,
+    whatever the depth of t, and a hit walks nothing."""
+    value = memo.get(t)
+    if value is None:
+        todo, stack = [], [t]  # missing subtrees in pre-order
+        while stack:
+            node = stack.pop()
+            if node not in memo:
+                todo.append(node)
+                stack += node.children
+        for node in reversed(todo):
+            if node not in memo:  # unless an equal subtree came first
+                memo[node] = step(node)
+        value = memo[t]
+    return value
 
 
-def _subtrees_bottom_up(t: RootedTree):
-    """What a memoised per-tree function asks for on a miss, before it
-    reads its children.  A tree of fewer than ``_SHALLOW`` vertices needs
-    nothing: recursing into its children nests fewer than ``_SHALLOW``
-    levels.  A larger one gets every subtree below its root, children before
-    parents: each of those calls then finds its children cached, so calls
-    nest one level at most, whatever the depth of t."""
-    if t.size < _SHALLOW:
-        return ()
-    nodes = list(_vertices(t))
-    return itertools.islice(reversed(nodes), len(nodes) - 1)
+_cut_memo: dict = {}
 
 
-@lru_cache(maxsize=None)
 def _cut_coproduct_tree(t: RootedTree) -> HCKTensor:
     """Admissible-cut coproduct of one tree, via the grafting cocycle."""
-    for node in _subtrees_bottom_up(t):
-        _cut_coproduct_tree(node)
+    return _filled(_cut_memo, _cut_step, t)
+
+
+def _cut_step(t: RootedTree) -> HCKTensor:
     inner = cut_coproduct(t.children)
     rows: dict = {((), (t,)): 1}
     for (left, right), c in inner.terms.items():
@@ -554,10 +559,14 @@ TREE_SIDE = DoubleBialgebra(
 # -- the polynomial invariant ---------------------------------------------
 
 
-@lru_cache(maxsize=None)
+_order_poly_memo: dict = {}
+
+
 def _strict_order_poly_tree(t: RootedTree) -> Poly:
-    for node in _subtrees_bottom_up(t):
-        _strict_order_poly_tree(node)
+    return _filled(_order_poly_memo, _order_poly_step, t)
+
+
+def _order_poly_step(t: RootedTree) -> Poly:
     return indefinite_sum(Poly.product(map(_strict_order_poly_tree, t.children)))
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from mindex import trees
 from mindex.exact import Poly, binomial_poly, indefinite_sum
 from mindex.linear import coassociative, cointeraction, counital
 from mindex.monomials import alpha_factorial, alpha_len, alpha_weight
@@ -36,8 +37,8 @@ from mindex.trees import (
     symmetry_factor,
     tree_stats,
     trees_with_monomial,
-    _cut_coproduct_tree,
-    _strict_order_poly_tree,
+    _cut_memo,
+    _order_poly_memo,
 )
 
 T_A = bplus([ladder(2), LEAF])  # root of fertility 2 with a leaf and a chain
@@ -153,8 +154,8 @@ def test_deep_ladder_cut_and_order_poly_under_a_low_recursion_limit():
     t = ladder(low + 40)
 
     def cold():
-        _cut_coproduct_tree.cache_clear()
-        _strict_order_poly_tree.cache_clear()
+        _cut_memo.clear()
+        _order_poly_memo.clear()
         return cut_coproduct((t,)), strict_order_poly((t,))
 
     want = cold()
@@ -170,6 +171,31 @@ def test_deep_ladder_cut_and_order_poly_under_a_low_recursion_limit():
         {((ladder(k - j),) if j < k else (), (ladder(j),) if j else ()): 1 for j in range(k + 1)}
     )
     assert want[1] == binomial_poly(k)
+
+
+def test_memo_miss_steps_each_missing_subtree_once(monkeypatch):
+    """A cold miss computes one step per distinct subtree, nested calls
+    included; a warm repeat steps nothing, and a larger tree steps only for
+    its subtrees that are not cached."""
+    steps = Counter()
+    for name in ("_cut_step", "_order_poly_step"):
+        inner = getattr(trees, name)
+
+        def counted(node, inner=inner, name=name):
+            steps[name] += 1
+            return inner(node)
+
+        monkeypatch.setattr(trees, name, counted)
+    t = bplus([ladder(6), corolla(4), corolla(4), bplus([ladder(3), corolla(4)])])
+    distinct = set(trees._vertices(t))
+    _cut_memo.clear()
+    _order_poly_memo.clear()
+    want = (cut_coproduct((t,)), strict_order_poly((t,)))
+    assert steps == {"_cut_step": len(distinct), "_order_poly_step": len(distinct)}
+    assert (cut_coproduct((t,)), strict_order_poly((t,))) == want
+    assert sum(steps.values()) == 2 * len(distinct)
+    cut_coproduct((bplus([t, ladder(7)]),))
+    assert steps["_cut_step"] == len(distinct) + 2
 
 
 def test_trees_with_monomial_fixtures():
