@@ -13,11 +13,10 @@ unit.  Two coproducts live here:
 * ``graft_coproduct`` (Hopf type, dual to the grafting product): splits a
   block x^a into a head x^h, k-fold down-shifted on the left, and a multiset
   of k nonzero parts bar-multiplied on the right.  The kernel sums over
-  heads and k by the exponential formula,
-  ``a!/h! D^k(x^h) (x) [t^k x^(a-h)] exp(t sum_beta [beta]/beta!)``,
-  reading the multiset splits from ``monomials.multiset_splits``, so
-  each multiset of parts is visited once; the ordered-splits form
-  weighted 1/k! is kept as ``graft_coproduct_block_oracle``.
+  heads and k, ``C(a, h) D^k(x^h) (x)`` each multiset of parts of x^(a-h)
+  times its set partitions as counted by ``monomials.multiset_splits``,
+  so each multiset is visited once; the ordered-splits form weighted 1/k!
+  is kept as ``graft_coproduct_block_oracle``.
 
 Both extend multiplicatively to forests and make the space a double
 bialgebra, described to the law kit of ``linear`` by ``FOREST_SIDE``; the
@@ -39,7 +38,6 @@ from .linear import DoubleBialgebra, LinComb, Tensor, add_term, cointeraction
 from .monomials import (
     Alpha,
     alpha_deg,
-    alpha_factorial,
     alpha_key,
     alpha_len,
     alpha_sub,
@@ -139,9 +137,11 @@ def _sub_coproduct_block(a: Alpha) -> STensor:
     counts orders, the right forest is sorted and the coefficient is a
     product.  So every ordered split is read, its multinomial summed on its
     multiset of parts, and each multiset expanded once; each distinct part's
-    terms are tabulated once per call.  The counts mult * prod c are
-    integers, summed per k and divided by k! once; the left block has k
-    letters, so the rows of different k are disjoint.  The expansion per
+    terms are tabulated once per call.  A multiset of k parts r_j with
+    multiplicities m has k!/prod m! orderings of multinomial a!/prod r_j!,
+    so their sum over k! is exact: the set partitions ``multiset_splits``
+    counts.  All rows are summed as integers in one dict; the left block
+    has k letters, so rows of different k never meet.  The expansion per
     ordered split is kept as ``sub_coproduct_block_oracle``.
     """
     tables: dict = {}
@@ -151,7 +151,6 @@ def _sub_coproduct_block(a: Alpha) -> STensor:
         for split, mult in ordered_splits(a, k):
             parts = tuple(sorted(split))
             folded[parts] = folded.get(parts, 0) + mult
-        counts: dict = {}
         for parts, mult in folded.items():
             for part in parts:
                 if part not in tables:
@@ -160,10 +159,7 @@ def _sub_coproduct_block(a: Alpha) -> STensor:
                         for order in range(alpha_weight(part) + 1)
                         for mono, c in _shift_down_power_mono(part, order).terms.items()
                     ]
-            _expand_rows(counts, [tables[part] for part in parts], mult)
-        k_fact = math.factorial(k)
-        for key, count in counts.items():
-            rows[key] = count // k_fact if not count % k_fact else Fraction(count, k_fact)
+            _expand_rows(rows, [tables[part] for part in parts], mult // math.factorial(k))
     return STensor.adopt(rows)
 
 
@@ -217,31 +213,27 @@ def _graft_coproduct_block(a: Alpha) -> STensor:
     """Hopf coproduct of a single block, by the exponential formula:
 
         Delta(x^a) = x^a (x) 1 + 1 (x) x^a
-                     + sum_{0 != h < a} sum_{k >= 1} a!/h! D^k(x^h) (x) E_k(a - h),
+                     + sum_{0 != h < a} sum_{k >= 1} C(a, h) D^k(x^h) (x) E_k(a - h),
 
-    D the down-shift and E_k the k-part multiset splits of ``multiset_splits``.
+    D the down-shift, C(a, h) = a!/(h! (a - h)!) and E_k(g) the multisets
+    of k parts of ``multiset_splits``, each counted by its set partitions.
     """
     rows: dict = {
         ((forest_mono([a])), ()): 1,
         ((), forest_mono([a])): 1,
     }
-    a_fact = alpha_factorial(a)
     for h in submonomials(a):
         if not h or h == a:
             continue
         g = alpha_sub(a, h)
-        base = a_fact // alpha_factorial(h)  # h <= a, so exact
+        base = math.prod(map(math.comb, a, h))
         for k in range(1, alpha_len(g) + 1):
             image = _shift_down_power_mono(h, k)
             if image.is_zero():
                 break
-            for right, w in multiset_splits(g, k):
-                # a!/h! * w = binom(a, h) * (a-h)!/(prod r_j! prod mult!) counts
-                # the ways to deal the letters of x^(a-h) into the parts of
-                # ``right``, so it is an integer and the division is exact
-                bw = base * w.numerator // w.denominator
+            for right, count in multiset_splits(g, k):
                 for mono, c in image.terms.items():
-                    add_term(rows, ((mono,), right), bw * c)
+                    add_term(rows, ((mono,), right), base * count * c)
     return STensor.adopt(rows)
 
 

@@ -112,6 +112,10 @@ def _show(result, args) -> str:
         if args.json:
             return json.dumps(result.to_json(), sort_keys=True)
         return "\n".join(result.lines())
+    if isinstance(result, dict):
+        if args.json:
+            return json.dumps(result)
+        return "\t".join(f"{k}={v}" for k, v in result.items())
     return json.dumps({"value": str(result)}) if args.json else str(result)
 
 
@@ -132,10 +136,7 @@ def _dims(args) -> str:
 
 def _stats(args) -> str:
     s, p, m = T.tree_stats(parse_tree(args.expr))
-    fields = {"symmetry": s, "plane": p, "monomial": M.format_alpha(m)}
-    if args.json:
-        return json.dumps(fields)
-    return "\t".join(f"{k}={v}" for k, v in fields.items())
+    return {"symmetry": s, "plane": p, "monomial": M.format_alpha(m)}
 
 
 class SelfcheckFailure(Exception):
@@ -233,9 +234,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def render_command(argv) -> str:
-    """Parse and evaluate one command line, returning its output text."""
+    """Parse and evaluate one command line, returning its output text; the
+    interpreter's digit limit is lifted only while the result is formatted,
+    so integers of any length print and input is still parsed under it."""
     args = build_parser().parse_args(argv)
-    return _show(args.run(args), args)
+    result = args.run(args)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _show(result, args)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main(argv=None) -> int:

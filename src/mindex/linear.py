@@ -6,14 +6,15 @@ hashable basis.  ``LinComb`` stores such an element as a dict
 ``basis key -> coefficient`` with no zero coefficients ever kept, so
 equality of dicts is equality of elements.  A coefficient is an exact
 rational in one normal form: an ``int`` when it is integral, a ``Fraction``
-otherwise.  This module is the one place that normalises: ``add_term``,
-``_exact`` and the constructors below.  Code elsewhere must keep true
-division exact (``int / int`` is a ``float``): divide with ``Fraction(n, d)``
-or with a ``Fraction`` operand.  Subclasses fix how two basis keys
-multiply and how a key is rendered; ``Tensor`` pairs two of them.  The law
-kit at the end checks each bialgebra law once, key by key, for any algebra
-described by a ``DoubleBialgebra`` record, such as ``bialgebra.FOREST_SIDE``
-and ``trees.TREE_SIDE``.
+otherwise.  This module is the one place that normalises, in ``add_term``,
+``_exact`` and the constructors below; no kernel elsewhere converts a
+coefficient by hand.  Code elsewhere must keep true division exact: divide
+with ``Fraction(n, d)`` or a ``Fraction`` operand (``int / int`` is a
+``float``).  Subclasses fix how two basis keys multiply and how a key is
+rendered; ``Tensor`` pairs two of them.  The law kit at the end checks each
+bialgebra law once, key by key, for any algebra described by a
+``DoubleBialgebra`` record, such as ``bialgebra.FOREST_SIDE`` and
+``trees.TREE_SIDE``.
 """
 
 from __future__ import annotations

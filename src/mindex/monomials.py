@@ -8,9 +8,9 @@ multi-argument extensions, and the iterated reduced splitting coproduct.
 ``_shift_down_power_mono`` caches the down-shift powers of one monomial,
 each one step from the power below it.
 
-It also holds the splitting kernels.  ``multiset_splits`` gives the splits
-of a block into a multiset of k parts by the exponential formula; the graft
-coproduct, the fixed-point invariant and ``mu`` all read it.
+It also holds the splitting kernels.  ``multiset_splits`` counts the set
+partitions of a block's letters by multiset of k parts, in integers; the
+graft coproduct, the fixed-point invariant and ``mu`` all read it.
 ``ordered_splits`` walks the ordered splits as integer vectors, with an
 explicit stack; it serves the substitution coproduct, ``shuffle_splits``
 and the graft oracle.
@@ -177,13 +177,13 @@ def ordered_splits(a: Alpha, parts: int):
 
 @lru_cache(maxsize=None)
 def multiset_splits(g: Alpha, k: int) -> tuple:
-    """E_k(g) = [t^k x^g] exp(t sum_beta [beta]/beta!): the splits of ``g``
-    into a multiset of k nonzero parts r_j, weighted 1/(prod r_j! prod mult!),
-    by the exponential formula (Stanley, EC2 5.1).
-
-    With i the first index where g_i > 0, differentiating in x_i gives
-    g_i E_k(g) = sum_{beta <= g, beta_i > 0} beta_i [beta]/beta! E_{k-1}(g - beta).
-    Returns (sorted parts, weight) pairs as a tuple, shared by the cache.
+    """The splits of ``g`` into a multiset of k nonzero parts r_j, each with
+    its number of set partitions of the letters of x^g into parts of those
+    shapes, g!/(prod r_j! prod mult!), an ``int`` (the exponential formula,
+    Stanley EC2 5.1).  Fix the first letter x_i of x^g: the part that holds
+    it is some beta with beta_i > 0, whose other letters can be picked in
+    C(g - e_i, beta - e_i) = beta_i C(g, beta)/g_i ways.  Returns (sorted
+    parts, count) pairs as a tuple, shared by the cache.
     """
     if k == 0:
         return () if g else (((), 1),)
@@ -194,9 +194,10 @@ def multiset_splits(g: Alpha, k: int) -> tuple:
     for beta in submonomials(g):
         if len(beta) <= i or not beta[i]:
             continue
-        w = Fraction(beta[i], alpha_factorial(beta) * g[i])
+        ways = beta[i] * math.prod(map(math.comb, g, beta)) // g[i]
         for f, c in multiset_splits(alpha_sub(g, beta), k - 1):
-            add_term(out, _sorted_blocks(f + (beta,)), w * c)
+            parts = _sorted_blocks(f + (beta,))
+            out[parts] = out.get(parts, 0) + ways * c
     return tuple(out.items())
 
 

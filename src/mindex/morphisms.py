@@ -113,15 +113,16 @@ def _invariant_fixed_point(a: Alpha) -> Poly:
     """Extract the x^a coefficient of the summation fixed-point series.
 
     The x^gamma coefficient of (sum_beta P_beta x^beta/beta!)^i / i! is
-    the sum of w * prod_{b in f} P_b over (f, w) in ``multiset_splits(gamma, i)``.
+    the sum of count/gamma! * prod_{b in f} P_b over (f, count) in
+    ``multiset_splits(gamma, i)``; with gamma = a - e_i, a!/gamma! = a_i.
     """
     inner = Poly.zero()
     for i, e in enumerate(a):
         if not e:
             continue
-        for f, w in multiset_splits(alpha_sub(a, unit_exp(i)), i):
-            inner = inner + Poly.product(map(_invariant_fixed_point, f)).scale(w)
-    return indefinite_sum(inner).scale(alpha_factorial(a))
+        for f, count in multiset_splits(alpha_sub(a, unit_exp(i)), i):
+            inner = inner + Poly.product(map(_invariant_fixed_point, f)).scale(e * count)
+    return indefinite_sum(inner)
 
 
 @lru_cache(maxsize=None)
@@ -176,23 +177,18 @@ def mu_value(a: Alpha) -> int:
 
     Computed from the sign-flipped fixed point, with the same sums over
     ``multiset_splits`` as ``_invariant_fixed_point``; the law suites check
-    it against the invariant evaluated at -1.  Each weight a! w is a_i times
-    the number of ways to deal the letters of x^a / x_i into the parts f, an
-    integer, so by induction every value is an integer.
+    it against the invariant evaluated at -1.  Each term weighs the count
+    of ``multiset_splits`` by a_i, so by induction every value is an integer.
     """
     a = trim(a)
     if not a:
         raise ValueError("characters take value 1 on the unit; pass a monomial")
-    a_fact = alpha_factorial(a)
     total = 0
     for i, e in enumerate(a):
         if not e:
             continue
-        for f, w in multiset_splits(alpha_sub(a, unit_exp(i)), i):
-            term = a_fact * w.numerator // w.denominator
-            for b in f:
-                term *= mu_value(b)
-            total += term
+        for f, count in multiset_splits(alpha_sub(a, unit_exp(i)), i):
+            total += e * count * math.prod(map(mu_value, f))
     return -total
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import subprocess
 import sys
@@ -319,6 +320,33 @@ def test_cli_zero_denominators_and_empty_shorthands_exit_2(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"parse error: {message}\n"
+
+
+def test_cli_prints_integers_of_any_length(capsys):
+    """The symmetry factor of corolla:3000 is 2999!, about 9,100 digits:
+    more than the interpreter converts by default.  It is printed in full,
+    and the limit still holds for the input, in the same process."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(math.factorial(2999))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert main(["stats", "corolla:3000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == f"symmetry={expected}\tplane=1\tmonomial=x2999*x0^2999\n"
+    assert main(["stats", "corolla:3000", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out, parse_int=str)["symmetry"] == expected
+    assert sys.get_int_max_str_digits() == limit
+    assert main(["stats", LONG_LADDER]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"parse error: position 7: expected an integer of at most {limit} digits"
+    )
 
 
 def test_cli_out_of_memory_exits_1():

@@ -7,7 +7,6 @@ from mindex.monomials import (
     CPoly,
     abelianize,
     alpha_deg,
-    alpha_factorial,
     alpha_key,
     alpha_len,
     alpha_weight,
@@ -149,16 +148,51 @@ def test_shuffle_splits():
 
 
 def test_multiset_splits_match_ordered_splits():
-    """The exponential-formula kernel against the ordered splits grouped by
-    sorted parts, each weighted multinomial/(g! k!), for every part count."""
+    """The kernel against the ordered splits grouped by sorted parts: each
+    multiset of k parts is counted by the multinomials of its orderings
+    summed and divided by k!, an ``int``, for every part count."""
     for g in alphas_up_to(6, 3):
         for k in range(alpha_len(g) + 2):
-            oracle: dict = {}
+            summed: dict = {}
             for split, mult in ordered_splits(g, k):
                 key = tuple(sorted(split, key=alpha_key))
-                w = Fraction(mult, alpha_factorial(g) * math.factorial(k))
-                oracle[key] = oracle.get(key, 0) + w
-            assert dict(multiset_splits(g, k)) == oracle, (g, k)
+                summed[key] = summed.get(key, 0) + mult
+            got = dict(multiset_splits(g, k))
+            assert all(type(c) is int for c in got.values()), (g, k)
+            assert all(total % math.factorial(k) == 0 for total in summed.values()), (g, k)
+            assert got == {key: total // math.factorial(k) for key, total in summed.items()}
+
+
+def _stirling2(n: int, k: int) -> int:
+    """Set partitions of n labelled letters into k blocks, by
+    S(n, k) = k S(n - 1, k) + S(n - 1, k - 1)."""
+    if n == 0 or k == 0:
+        return int(n == k)
+    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+
+
+def test_multiset_splits_count_set_partitions():
+    """Checked without ordered splits: the counts of x0^n sum to the Stirling
+    number S(n, k) for each k and to the Bell number over all k; every set
+    partition of the distinct letters x0*x1*...*x_(n-1) is its own multiset
+    of parts, counted once."""
+    bell = [1]  # B(n + 1) = sum_i C(n, i) B(i)
+    for n in range(8):
+        bell.append(sum(math.comb(n, i) * bell[i] for i in range(n + 1)))
+    assert bell[:7] == [1, 1, 2, 5, 15, 52, 203]
+    for n in range(1, 9):
+        total = 0
+        for k in range(1, n + 1):
+            counts = [c for _, c in multiset_splits((n,), k)]
+            assert all(type(c) is int for c in counts)
+            assert sum(counts) == _stirling2(n, k), (n, k)
+            total += sum(counts)
+        assert total == bell[n], n
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            splits = multiset_splits((1,) * n, k)
+            assert len(splits) == _stirling2(n, k), (n, k)
+            assert all(type(c) is int and c == 1 for _, c in splits), (n, k)
 
 
 def _weak_compositions(n: int, k: int):
