@@ -1,8 +1,10 @@
 """The double bialgebra of forest monomials.
 
 A forest monomial is a multiset of nonzero exponent vectors ("blocks"),
-stored as a tuple sorted in the fixed block order; the empty tuple is the
-unit.  Two coproducts live here:
+stored as a tuple in plain sorted order; the empty tuple is the unit.
+Blocks print in the order of ``monomials.alpha_key``, which is applied
+only where a forest is formatted or terms are sorted for printing.  Two
+coproducts live here:
 
 * ``sub_coproduct`` (substitution type, dual to operadic composition):
   splits a block into parts, down-shifts each part and records the shift
@@ -47,7 +49,6 @@ from .monomials import (
     ordered_splits,
     submonomials,
     _shift_down_power_mono,
-    _sorted_blocks,
 )
 
 ForestMono = tuple[Alpha, ...]
@@ -60,7 +61,7 @@ def forest_mono(blocks) -> ForestMono:
     for b in blocks:
         if not b or not b[-1] or min(b) < 0:
             raise ValueError(f"forest blocks must be trimmed nonzero monomials, not {b!r}")
-    return _sorted_blocks(blocks)
+    return tuple(sorted(blocks))
 
 
 def fm_mul(a: ForestMono, b: ForestMono) -> ForestMono:
@@ -68,7 +69,7 @@ def fm_mul(a: ForestMono, b: ForestMono) -> ForestMono:
         return b
     if not b:
         return a
-    return _sorted_blocks(a + b)
+    return tuple(sorted(a + b))
 
 
 def fm_len(f: ForestMono) -> int:
@@ -86,11 +87,11 @@ def fm_deg(f: ForestMono) -> int:
 def format_fm(f: ForestMono) -> str:
     if not f:
         return "1"
-    return " | ".join(format_alpha(b) for b in f)
+    return " | ".join(format_alpha(b) for b in sorted(f, key=alpha_key))
 
 
 def fm_key(f: ForestMono):
-    return (len(f), tuple(alpha_key(b) for b in f))
+    return (len(f), tuple(sorted(map(alpha_key, f))))
 
 
 class SElem(LinComb):
@@ -119,7 +120,7 @@ class STensor(Tensor, slot=SElem):
 
     def to_json(self):
         return [
-            [str(c), [format_alpha(b) for b in k[0]], [format_alpha(b) for b in k[1]]]
+            [str(c), *([format_alpha(b) for b in sorted(f, key=alpha_key)] for f in k)]
             for k, c in self.sorted_terms()
         ]
 
@@ -155,7 +156,7 @@ def _sub_coproduct_block(a: Alpha) -> STensor:
             for part in parts:
                 if part not in tables:
                     tables[part] = [
-                        (order, (alpha_len(mono), mono), c)
+                        (order, mono, c)
                         for order in range(alpha_weight(part) + 1)
                         for mono, c in _shift_down_power_mono(part, order).terms.items()
                     ]
@@ -165,17 +166,15 @@ def _sub_coproduct_block(a: Alpha) -> STensor:
 
 def _expand_rows(counts: dict, per_slot, mult: int) -> None:
     """Add the positive integer ``mult * prod c`` to the row of each choice
-    of one ``(order, (len, mono), c)`` per slot: the left block counts the
-    orders, the right forest holds the monomials, put in the block order by
-    sorting their ``(len, mono)`` keys."""
+    of one ``(order, mono, c)`` per slot: the left block counts the orders,
+    the right forest is the sorted tuple of the monomials."""
     for choice in itertools.product(*per_slot):
         coeff = mult
         left = [0] * (max(order for order, _, _ in choice) + 1)
         for order, _, c in choice:
             left[order] += 1
             coeff *= c
-        right = sorted([len_mono for _, len_mono, _ in choice])
-        key = ((tuple(left),), tuple([mono for _, mono in right]))
+        key = ((tuple(left),), tuple(sorted([mono for _, mono, _ in choice])))
         counts[key] = counts.get(key, 0) + coeff
 
 

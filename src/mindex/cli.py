@@ -33,49 +33,31 @@ from .parsing import (
 )
 
 
-def _divide_linear(p: Poly, root: int) -> tuple[Poly, Fraction]:
-    """Synthetic division by (X - root); returns quotient and remainder."""
-    deg = p.degree()
-    out: dict[int, Fraction] = {}
-    acc = Fraction(0)
-    for e in range(deg, 0, -1):
-        acc = acc * root + p.coeff(e)
-        out[e - 1] = acc
-    rem = acc * root + p.coeff(0)
-    return Poly(out), rem
-
-
 def factored_form(p: Poly) -> str:
-    """Best-effort factorization by integer roots in a fixed window."""
+    """Best-effort factorization by integer roots in a fixed window.  The
+    coefficients of ``p`` times their common denominator are integers, so
+    each candidate root is divided out by integer synthetic division for
+    as long as the remainder is 0."""
     if p.is_zero():
         return "0"
     if p.degree() == 0:
         return str(p)
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    coeffs = [int(p.coeff(e) * den) for e in range(p.degree(), -1, -1)]  # leading first
     roots: list[int] = []
-    rest = p
-    candidates = [0] + [s * k for k in range(1, 51) for s in (1, -1)]
-    progress = True
-    while rest.degree() > 0 and progress:
-        progress = False
-        for r in candidates:
-            if rest(r) == 0:
-                rest, rem = _divide_linear(rest, r)
-                assert rem == 0
-                roots.append(r)
-                progress = True
+    for r in [0] + [s * k for k in range(1, 51) for s in (1, -1)]:
+        while len(coeffs) > 1:
+            acc, quotient = 0, []
+            for c in coeffs:
+                acc = acc * r + c
+                quotient.append(acc)
+            if acc:  # the remainder
                 break
-    denom_lcm = 1
-    for c in rest.terms.values():
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    num_gcd = 0
-    for c in rest.terms.values():
-        num_gcd = math.gcd(num_gcd, c.numerator * (denom_lcm // c.denominator))
-    content = Fraction(num_gcd if num_gcd else 1, denom_lcm)
-    if rest.coeff(rest.degree()) < 0:
-        content = -content
-    # content is a Fraction, so 1 / content stays exact; an int there would
-    # make it a float
-    primitive = rest.scale(1 / content) if content != 1 else rest
+            coeffs = quotient[:-1]
+            roots.append(r)
+    g = math.gcd(*coeffs) if coeffs[0] > 0 else -math.gcd(*coeffs)
+    content = Fraction(g, den)
+    primitive = Poly({e: c // g for e, c in enumerate(reversed(coeffs))})
     parts: list[str] = [str(content)] if content != 1 else []
     for r in sorted(set(roots)):
         mult = roots.count(r)

@@ -5,8 +5,9 @@ the exponent of x_i; the empty tuple is the unit marker and never appears
 inside nonzero polynomial terms.  The module carries the shift derivations,
 the two pre-Lie products (substitution-style and Novikov-style) with their
 multi-argument extensions, and the iterated reduced splitting coproduct.
-``_shift_down_power_mono`` caches the down-shift powers of one monomial,
-each one step from the power below it.
+``_shift_down_power_mono`` keeps the down-shift powers of each monomial
+in one list, each one step from the power below it, grown only as far as
+a caller asks.
 
 It also holds the splitting kernels.  ``multiset_splits`` counts the set
 partitions of a block's letters by multiset of k parts, in integers; the
@@ -79,14 +80,9 @@ def alpha_sub(a: Alpha, b: Alpha) -> Alpha:
 
 
 def alpha_key(a: Alpha):
-    """Fixed total order: length first, then exponents lexicographically."""
+    """The order monomials and the blocks of a forest print in: length
+    first, then exponents lexicographically."""
     return (alpha_len(a), a)
-
-
-def _sorted_blocks(blocks) -> tuple[Alpha, ...]:
-    """``tuple(sorted(blocks, key=alpha_key))`` with both keys in C: a
-    stable sort by letter count after a plain tuple sort."""
-    return tuple(sorted(sorted(blocks), key=sum))
 
 
 def format_alpha(a: Alpha) -> str:
@@ -196,7 +192,7 @@ def multiset_splits(g: Alpha, k: int) -> tuple:
             continue
         ways = beta[i] * math.prod(map(math.comb, g, beta)) // g[i]
         for f, c in multiset_splits(alpha_sub(g, beta), k - 1):
-            parts = _sorted_blocks(f + (beta,))
+            parts = tuple(sorted(f + (beta,)))
             out[parts] = out.get(parts, 0) + ways * c
     return tuple(out.items())
 
@@ -272,31 +268,29 @@ def shift_up_power(p: CPoly, n: int) -> CPoly:
     return p
 
 
-# Cold calls at a high order first fill every _SHIFT_STRIDE-th order below,
-# so the self-calls nest at most n / _SHIFT_STRIDE + _SHIFT_STRIDE deep.
-_SHIFT_STRIDE = 32
+_shift_down_memo: dict = {}
 
 
-@lru_cache(maxsize=None)
 def _shift_down_power_mono(a: Alpha, n: int) -> CPoly:
-    """D^n(x^a), D the down-shift: one step of D on the cached D^(n-1)(x^a),
-    each term x^b giving b_i x^(b - e_i + e_(i-1)) for every i >= 1."""
-    if n == 0:
-        return CPoly.basis(a)
-    if n > alpha_weight(a):
-        return CPoly.zero()
-    if n > _SHIFT_STRIDE:
-        _shift_down_power_mono(a, n - _SHIFT_STRIDE)
-    data: dict = {}
-    for b, c in _shift_down_power_mono(a, n - 1).terms.items():
-        for i in range(1, len(b)):
-            e = b[i]
-            if e:
-                lowered = list(b)
-                lowered[i] = e - 1
-                lowered[i - 1] += 1
-                add_term(data, _trimmed(tuple(lowered)), c * e)
-    return CPoly.adopt(data)
+    """D^n(x^a), D the down-shift.  The powers of x^a are kept in one list,
+    extended only as far as a caller asks and ending at the first zero;
+    each step takes every term x^b of the power below to
+    b_i x^(b - e_i + e_(i-1)) for every i >= 1."""
+    powers = _shift_down_memo.get(a)
+    if powers is None:
+        powers = _shift_down_memo[a] = [CPoly.basis(a)]
+    while len(powers) <= n and powers[-1]:
+        data: dict = {}
+        for b, c in powers[-1].terms.items():
+            for i in range(1, len(b)):
+                e = b[i]
+                if e:
+                    lowered = list(b)
+                    lowered[i] = e - 1
+                    lowered[i - 1] += 1
+                    add_term(data, _trimmed(tuple(lowered)), c * e)
+        powers.append(CPoly.adopt(data))
+    return powers[min(n, len(powers) - 1)]
 
 
 def prelie(p: CPoly, q: CPoly) -> CPoly:

@@ -37,12 +37,12 @@ from .monomials import (
     Alpha,
     alpha_deg,
     alpha_factorial,
+    alpha_key,
     alpha_sub,
     format_alpha,
     multiset_splits,
     trim,
     unit_exp,
-    _sorted_blocks,
 )
 from .trees import (
     TREE_SIDE,
@@ -227,7 +227,7 @@ class DSSolution:
 
     def lines(self) -> list[str]:
         out = []
-        for a in _sorted_blocks(self.entries):
+        for a in sorted(self.entries, key=alpha_key):
             elem = self.entries[a]
             body = " + ".join(
                 (f"{c}*{format_forest(f)}" for f, c in elem.sorted_terms())
@@ -240,7 +240,7 @@ class DSSolution:
             format_alpha(a): [
                 [str(c), format_forest(f)] for f, c in self.entries[a].sorted_terms()
             ]
-            for a in _sorted_blocks(self.entries)
+            for a in sorted(self.entries, key=alpha_key)
         }
 
 

@@ -22,6 +22,7 @@ from mindex.bialgebra import (
     fm_mul,
     fm_weight,
     forest_mono,
+    format_fm,
     graft_coproduct,
     graft_coproduct_block_oracle,
     sub_coproduct,
@@ -30,6 +31,7 @@ from mindex.bialgebra import (
 )
 from mindex.linear import antipode_law, coassociative, counital, graded
 from mindex.monomials import alpha_len, alpha_weight
+from mindex.parsing import parse_selem
 from mindex.selfcheck import alphas_up_to
 
 fm = forest_mono
@@ -40,6 +42,20 @@ def test_bar_product():
     assert bar_product(SElem.one(), block((1,))) == block((1,))
     assert bar_product(block((1,)), block((1,))) == SElem.basis(fm([(1,), (1,)]))
     assert bar_product(block((1, 1)), block((1,))) == SElem.basis(fm([(1, 1), (1,)]))
+
+
+def test_terms_print_in_fm_key_order():
+    """Terms sort by block count, then by their blocks in the block order:
+    ``x0 | x1^2`` comes before ``x0 | x0^2`` although its plain tuple,
+    ((0, 2), (1,)), is greater than ((1,), (2,))."""
+    e = parse_selem("x0 | x0 | x0 + x0 | x0^2 + 2*x1^2 | x0 + x2*x0")
+    assert [format_fm(f) for f, _ in e.sorted_terms()] == [
+        "x2*x0",
+        "x0 | x1^2",
+        "x0 | x0^2",
+        "x0 | x0 | x0",
+    ]
+    assert str(e) == "x2*x0 + 2*x0 | x1^2 + x0 | x0^2 + x0 | x0 | x0"
 
 
 def test_sub_coproduct_fixtures():

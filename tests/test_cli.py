@@ -93,6 +93,27 @@ def test_cli_json_outputs():
     assert data["x1^2*x0"] == [["1", "B[B[B[]]]"]]
 
 
+def test_cli_prints_forest_blocks_in_the_block_order():
+    """``x1^2 | x0`` is stored with x1^2 first, in plain tuple order, and
+    printed with x0 first, fewer letters first, in text and in JSON."""
+    assert render_command(["delta-nmi", "x1^2 | x0"]).splitlines() == [
+        "2 * x2 | x0 (x) x0 | x0^2",
+        "2 * x1 | x0 (x) x0 | x1*x0",
+        "1 * x0 | x0 (x) x0 | x1^2",
+        "1 * x0 | x1^2 (x) x0 | x0 | x0",
+        "2 * x0 | x1*x0 (x) x1 | x0 | x0",
+        "1 * x0 | x0^2 (x) x1 | x1 | x0",
+    ]
+    assert json.loads(render_command(["delta-nmi", "x1^2 | x0", "--json"])) == [
+        ["2", ["x2", "x0"], ["x0", "x0^2"]],
+        ["2", ["x1", "x0"], ["x0", "x1*x0"]],
+        ["1", ["x0", "x0"], ["x0", "x1^2"]],
+        ["1", ["x0", "x1^2"], ["x0", "x0", "x0"]],
+        ["2", ["x0", "x1*x0"], ["x1", "x0", "x0"]],
+        ["1", ["x0", "x0^2"], ["x1", "x1", "x0"]],
+    ]
+
+
 def test_cli_ds_lines():
     out = render_command(["ds", "--coeffs", "1,1,1/2,1/6", "--max-vertices", "3"])
     lines = dict(line.split("\t") for line in out.splitlines())
@@ -123,6 +144,9 @@ def test_factored_form():
     assert factored_form(
         Poly({3: Fraction(-1, 6), 2: Fraction(1, 2), 1: Fraction(-1, 3)})
     ) == "-1/6*X*(X - 1)*(X - 2)"
+    # a negative fractional content, a triple root and an irreducible quadratic
+    p = Poly.const(Fraction(-3, 4)) * Poly({1: 1, 0: -2}) ** 3 * Poly({2: 1, 1: 1, 0: 1})
+    assert factored_form(p) == "-3/4*(X - 2)^3*(X^2 + X + 1)"
 
 
 def _top_level_factors(text: str) -> list[str]:

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+from mindex.bialgebra import forest_mono, format_fm
 from mindex.monomials import (
     CPoly,
     abelianize,
@@ -22,7 +23,6 @@ from mindex.monomials import (
     shuffle_splits,
     trim,
     _shift_down_power_mono,
-    _sorted_blocks,
 )
 from mindex.exact import multinomial
 from mindex.selfcheck import alphas_up_to
@@ -155,7 +155,7 @@ def test_multiset_splits_match_ordered_splits():
         for k in range(alpha_len(g) + 2):
             summed: dict = {}
             for split, mult in ordered_splits(g, k):
-                key = tuple(sorted(split, key=alpha_key))
+                key = tuple(sorted(split))
                 summed[key] = summed.get(key, 0) + mult
             got = dict(multiset_splits(g, k))
             assert all(type(c) is int for c in got.values()), (g, k)
@@ -274,15 +274,18 @@ def test_shift_down_power_of_a_deep_block_does_not_recurse():
 
 
 def test_block_order_is_alpha_key_order():
-    """``_sorted_blocks`` puts blocks in the ``alpha_key`` order, on every
-    multiset of at most 4 blocks of at most 3 letters with indices at most 3,
-    each drawn in a shuffled order."""
+    """A forest is stored in plain tuple order and printed in the
+    ``alpha_key`` order, on every multiset of at most 4 blocks of at most 3
+    letters with indices at most 3, each drawn in a shuffled order."""
     rng = random.Random(5)
     blocks = list(alphas_up_to(3, 3))
     for r in range(5):
         for combo in itertools.combinations_with_replacement(blocks, r):
             drawn = rng.sample(combo, r)
-            assert _sorted_blocks(drawn) == tuple(sorted(drawn, key=alpha_key)), drawn
+            f = forest_mono(drawn)
+            assert f == tuple(sorted(drawn)), drawn
+            printed = " | ".join(format_alpha(b) for b in sorted(drawn, key=alpha_key))
+            assert format_fm(f) == (printed or "1"), drawn
 
 
 def test_degree_additive_for_novikov():

@@ -258,6 +258,19 @@ def test_ds_solver_symbolic_rationals():
     assert sol.entries[(3, 0, 0, 1)] == HCKElem.tree(corolla(4), a3 * a0**3)
 
 
+def test_ds_lines_follow_the_block_order():
+    """Fewer letters first: x2*x0^2 before x1^3*x0, though (1, 3) < (2, 0, 1)."""
+    assert ds_solve([1, 1, 1, 1], 4).lines() == [
+        "x0\t1*B[]",
+        "x1*x0\t1*B[B[]]",
+        "x1^2*x0\t1*B[B[B[]]]",
+        "x2*x0^2\t1*B[B[],B[]]",
+        "x1^3*x0\t1*B[B[B[B[]]]]",
+        "x2*x1*x0^2\t2*B[B[],B[B[]]] + 1*B[B[B[],B[]]]",
+        "x3*x0^3\t1*B[B[],B[],B[]]",
+    ]
+
+
 def test_ds_truncated_coefficients_kill_high_fertility():
     sol = ds_solve([1, 1], 4)  # a_i = 0 for i >= 2: only ladders survive
     assert set(sol.entries) == {ladder_monomial(n) for n in range(1, 5)}
