@@ -42,7 +42,6 @@ from .monomials import (
     alpha_deg,
     alpha_key,
     alpha_len,
-    alpha_sub,
     alpha_weight,
     format_alpha,
     multiset_splits,
@@ -221,10 +220,9 @@ def _graft_coproduct_block(a: Alpha) -> STensor:
         ((forest_mono([a])), ()): 1,
         ((), forest_mono([a])): 1,
     }
-    for h in submonomials(a):
-        if not h or h == a:
+    for h, g in submonomials(a):
+        if not h or not g:
             continue
-        g = alpha_sub(a, h)
         base = math.prod(map(math.comb, a, h))
         for k in range(1, alpha_len(g) + 1):
             image = _shift_down_power_mono(h, k)

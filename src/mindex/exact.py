@@ -5,9 +5,9 @@ Polynomials are sparse ``exponent -> coefficient`` maps with no degree
 bound.  ``indefinite_sum`` (the discrete antiderivative ``p -> P`` with
 ``P(n) = p(0) + ... + p(n-1)``) is computed in the binomial-coefficient
 basis ``binom(X, n)``, where it is a plain index shift; it is a weight-1
-Rota-Baxter operator.  Both basis changes run on integers over one common
-denominator.  Bernoulli numbers follow the convention with
-``B_1 = +1/2``.
+Rota-Baxter operator.  Both basis changes and evaluation run on integers
+over one common denominator; a value is an ``int`` when integral.
+Bernoulli numbers follow the convention with ``B_1 = +1/2``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .linear import LinComb, add_term
+from .linear import LinComb, _exact, add_term
 
 
 def multinomial(parts: Sequence[int]) -> int:
@@ -67,9 +67,19 @@ class Poly(LinComb):
         """Degree; -1 for the zero polynomial."""
         return max(self.terms, default=-1)
 
-    def __call__(self, value) -> Fraction:
-        value = Fraction(value)
-        return sum((c * value**e for e, c in self.terms.items()), Fraction(0))
+    def __call__(self, value) -> int | Fraction:
+        """The value at n/q in normal form (an ``int`` when integral): sum
+        c_e n^e q^(d-e) by integer Horner on the common denominator den,
+        divided once by den q^d."""
+        if type(value) is not int:
+            value = Fraction(value)
+        n, q = value.numerator, value.denominator
+        scaled, den = _scaled(self)
+        acc, qk = 0, 1  # qk = q^k at the k-th coefficient from the top
+        for c in scaled:
+            acc = acc * n + c * qk
+            qk *= q
+        return _exact(Fraction(acc * q, den * qk))  # qk = q^(d+1) here
 
     def binomial_coeffs(self) -> dict[int, Fraction]:
         """Coefficients in the basis binom(X, n), via finite differences at 0."""
@@ -91,14 +101,21 @@ def binomial_poly(n: int) -> Poly:
     return falling.scale(Fraction(1, math.factorial(n)))
 
 
+def _scaled(p: Poly) -> tuple[list[int], int]:
+    """``(scaled, den)``: the coefficients of ``p`` times ``den``, the lcm
+    of their denominators, as ints by descending power of X, for Horner."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    scaled = [0] * (p.degree() + 1)
+    for e, c in p.terms.items():
+        scaled[-1 - e] = c.numerator * (den // c.denominator)
+    return scaled, den
+
+
 def _differences(p: Poly) -> tuple[list[int], int]:
     """``(diffs, den)`` with ``diffs[n] / den`` the n-th forward difference
     of ``p`` at 0, for n up to the degree: one difference table over the
     values p(0), ..., p(d), all scaled by the common denominator ``den``."""
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    scaled = [0] * (p.degree() + 1)  # by descending power of X, for Horner
-    for e, c in p.terms.items():
-        scaled[-1 - e] = c.numerator * (den // c.denominator)
+    scaled, den = _scaled(p)
     values = []
     for j in range(len(scaled)):
         v = 0

@@ -2,12 +2,12 @@
 
 An exponent vector ("alpha") is a trimmed tuple of naturals, alpha[i] being
 the exponent of x_i; the empty tuple is the unit marker and never appears
-inside nonzero polynomial terms.  The module carries the shift derivations,
-the two pre-Lie products (substitution-style and Novikov-style) with their
-multi-argument extensions, and the iterated reduced splitting coproduct.
-``_shift_down_power_mono`` keeps the down-shift powers of each monomial
-in one list, each one step from the power below it, grown only as far as
-a caller asks.
+inside nonzero polynomial terms.  The module carries the derivations (one
+kernel, ``_derive``, for the shifts and partials), the two pre-Lie products
+with their multi-argument extensions, and the iterated reduced splitting
+coproduct.  ``_shift_down_power_mono`` keeps the down-shift powers of each
+monomial in one list, each one step of ``_derive`` from the power below it,
+grown only as far as a caller asks.
 
 It also holds the splitting kernels.  ``multiset_splits`` counts the set
 partitions of a block's letters by multiset of k parts, in integers; the
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -67,10 +68,10 @@ def alpha_factorial(a: Alpha) -> int:
 
 
 def alpha_mul(a: Alpha, b: Alpha) -> Alpha:
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
+    """x^a x^b: the sum of the overlap, then the tail of the longer vector."""
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(map(operator.add, a, b)) + a[len(b):]
 
 
 def alpha_sub(a: Alpha, b: Alpha) -> Alpha:
@@ -97,10 +98,10 @@ def format_alpha(a: Alpha) -> str:
 
 
 def submonomials(a: Alpha):
-    """All divisors of x^a, the unit included."""
-    ranges = [range(e + 1) for e in a]
-    for exps in itertools.product(*ranges):
-        yield trim(exps)
+    """All divisors x^h of x^a, the unit included, each with its cofactor:
+    ``(h, a - h)`` pairs, both trimmed, so no caller re-checks divisibility."""
+    for h in itertools.product(*[range(e + 1) for e in a]):
+        yield _trimmed(h), _trimmed(tuple(map(operator.sub, a, h)))
 
 
 def _trimmed(exps: Alpha) -> Alpha:
@@ -187,11 +188,11 @@ def multiset_splits(g: Alpha, k: int) -> tuple:
         return ()
     i = next(j for j, e in enumerate(g) if e)
     out: dict = {}
-    for beta in submonomials(g):
+    for beta, rest in submonomials(g):
         if len(beta) <= i or not beta[i]:
             continue
         ways = beta[i] * math.prod(map(math.comb, g, beta)) // g[i]
-        for f, c in multiset_splits(alpha_sub(g, beta), k - 1):
+        for f, c in multiset_splits(rest, k - 1):
             parts = tuple(sorted(f + (beta,)))
             out[parts] = out.get(parts, 0) + ways * c
     return tuple(out.items())
@@ -202,9 +203,7 @@ class CPoly(LinComb):
 
     __slots__ = ()
 
-    @staticmethod
-    def key_mul(a: Alpha, b: Alpha) -> Alpha:
-        return alpha_mul(a, b)
+    key_mul = staticmethod(alpha_mul)
 
     @staticmethod
     def sort_key(key: Alpha):
@@ -235,31 +234,37 @@ def abelianize(p: NCPoly) -> CPoly:
     return CPoly.adopt(data)
 
 
-def _derive(p: CPoly, image) -> CPoly:
-    """The derivation sending each letter x_i to the monomial x^image(i),
-    or to 0 where ``image(i)`` is None."""
+def _derive(p: CPoly, step: int, first: int = 0, stop: int | None = None) -> CPoly:
+    """The derivation sending x_i to x_(i+step) (to the unit for step 0)
+    for first <= i < stop and to 0 otherwise, x_0 to 0 when step is -1.
+    Each term c x^a gives, for every such i with a_i > 0, c a_i x^b: b is a
+    copy of a with a_i lowered and a_(i+step) raised, an integer vector."""
+    first = max(first, -step)
     data: dict = {}
     for a, c in p.terms.items():
-        for i, e in enumerate(a):
-            b = image(i) if e else None
-            if b is not None:
-                add_term(data, alpha_mul(alpha_sub(a, unit_exp(i)), b), c * e)
+        for i, e in enumerate(a[first:stop], first):
+            if e:
+                b = [*a, 0]
+                b[i] = e - 1
+                if step:
+                    b[i + step] += 1
+                add_term(data, _trimmed(tuple(b)), c * e)
     return CPoly.adopt(data)
 
 
 def shift_up(p: CPoly) -> CPoly:
     """The derivation sum over n of x_{n+1} d/dx_n."""
-    return _derive(p, lambda i: unit_exp(i + 1))
+    return _derive(p, 1)
 
 
 def shift_down(p: CPoly) -> CPoly:
     """The derivation sending x_0 to 0 and x_i to x_{i-1}."""
-    return _derive(p, lambda i: unit_exp(i - 1) if i else None)
+    return _derive(p, -1)
 
 
 def partial(p: CPoly, i: int) -> CPoly:
     """d/dx_i."""
-    return _derive(p, lambda j: () if j == i else None)
+    return _derive(p, 0, i, i + 1)
 
 
 def shift_up_power(p: CPoly, n: int) -> CPoly:
@@ -273,23 +278,13 @@ _shift_down_memo: dict = {}
 
 def _shift_down_power_mono(a: Alpha, n: int) -> CPoly:
     """D^n(x^a), D the down-shift.  The powers of x^a are kept in one list,
-    extended only as far as a caller asks and ending at the first zero;
-    each step takes every term x^b of the power below to
-    b_i x^(b - e_i + e_(i-1)) for every i >= 1."""
+    extended only as far as a caller asks and ending at the first zero,
+    each one step of the derivation kernel from the power below it."""
     powers = _shift_down_memo.get(a)
     if powers is None:
         powers = _shift_down_memo[a] = [CPoly.basis(a)]
     while len(powers) <= n and powers[-1]:
-        data: dict = {}
-        for b, c in powers[-1].terms.items():
-            for i in range(1, len(b)):
-                e = b[i]
-                if e:
-                    lowered = list(b)
-                    lowered[i] = e - 1
-                    lowered[i - 1] += 1
-                    add_term(data, _trimmed(tuple(lowered)), c * e)
-        powers.append(CPoly.adopt(data))
+        powers.append(_derive(powers[-1], -1))
     return powers[min(n, len(powers) - 1)]
 
 

@@ -275,7 +275,7 @@ def _child_multisets(rest: Alpha, r: int, low: RootedTree | None):
         if not rest:
             yield ()
         return
-    for beta in submonomials(rest):
+    for beta, left in submonomials(rest):
         if not beta or alpha_deg(beta) != 0:
             continue
         if alpha_len(beta) > alpha_len(rest) - (r - 1):
@@ -283,7 +283,7 @@ def _child_multisets(rest: Alpha, r: int, low: RootedTree | None):
         for t in _twm(beta):
             if low is not None and t.enc < low.enc:
                 continue
-            for tail in _child_multisets(alpha_sub(rest, beta), r - 1, t):
+            for tail in _child_multisets(left, r - 1, t):
                 yield (t,) + tail
 
 

@@ -136,3 +136,23 @@ def test_poly_printing_and_json():
 def test_poly_eval_is_exact_at_negative_arguments():
     p = Poly({5: Fraction(1, 7), 1: Fraction(-2, 3)})
     assert p(-2) == Fraction(-32, 7) + Fraction(4, 3)
+
+
+def test_poly_eval_matches_term_by_term_sums():
+    """Evaluation against sum(c * v**e) in fractions, at integer, negative
+    and fractional arguments and on the zero polynomial; an integral value
+    comes back as an ``int`` and any other as a ``Fraction``."""
+    rng = random.Random(3)
+    polys = [Poly.zero()]
+    for _ in range(150):
+        degree = rng.randint(0, 7)
+        polys.append(Poly({e: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                           for e in range(degree + 1) if rng.random() < 0.7}))
+    values = [0, 1, 2, 9, -1, -4, Fraction(1, 2), Fraction(-7, 3), Fraction(10, 9)]
+    for p in polys:
+        for v in values:
+            want = sum((c * Fraction(v) ** e for e, c in p.terms.items()), Fraction(0))
+            got = p(v)
+            assert got == want, (str(p), v)
+            assert type(got) is (int if want.denominator == 1 else Fraction), (str(p), v)
+    assert type(Poly.zero()(Fraction(1, 3))) is int

@@ -3,25 +3,32 @@ import math
 import random
 from fractions import Fraction
 
+from mindex import words
 from mindex.bialgebra import forest_mono, format_fm
+from mindex.linear import add_term
 from mindex.monomials import (
     CPoly,
     abelianize,
     alpha_deg,
     alpha_key,
     alpha_len,
+    alpha_mul,
+    alpha_sub,
     alpha_weight,
     format_alpha,
     multiset_splits,
     novikov,
     novikov_multi,
     ordered_splits,
+    partial,
     prelie,
     prelie_multi,
     shift_down,
     shift_up,
     shuffle_splits,
+    submonomials,
     trim,
+    unit_exp,
     _shift_down_power_mono,
 )
 from mindex.exact import multinomial
@@ -58,6 +65,49 @@ def test_shift_derivations():
     assert shift_down(x(0)).is_zero()
     assert shift_down(x(1) * x(0)) == x(0) ** 2
     assert shift_down(x(2)) == x(1)
+
+
+def test_shifts_match_the_word_shifts():
+    """The word-level shifts are an independent oracle: abelianization
+    commutes with both, on every word of length at most 4 over x_0..x_3."""
+    for n in range(1, 5):
+        for w in itertools.product(range(4), repeat=n):
+            p = NCPoly.word(w)
+            assert abelianize(words.shift_up(p)) == shift_up(abelianize(p)), w
+            assert abelianize(words.shift_down(p)) == shift_down(abelianize(p)), w
+
+
+def test_partial_matches_the_per_term_formula():
+    """d/dx_i against c a_i x^(a - e_i) per term, through ``alpha_sub``:
+    the same terms, in the same order, with the same coefficient types."""
+    rng = random.Random(53)
+    for _ in range(200):
+        p = CPoly.zero()
+        for _ in range(rng.randint(1, 4)):
+            a = trim([rng.randint(0, 3) for _ in range(rng.randint(1, 4))])
+            if a:
+                p = p + CPoly.basis(a, Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+        for i in range(5):
+            want: dict = {}
+            for a, c in p.terms.items():
+                if i < len(a) and a[i]:
+                    add_term(want, alpha_sub(a, unit_exp(i)), c * a[i])
+            got = partial(p, i)
+            assert [(m, type(c), c) for m, c in got.terms.items()] == [
+                (m, type(c), c) for m, c in want.items()
+            ], (str(p), i)
+
+
+def test_divisors_come_with_their_cofactors():
+    """Each divisor h of x^a comes with a - h, both trimmed; they multiply
+    back to a, and every divisor comes exactly once."""
+    for a in alphas_up_to(5, 3):
+        pairs = list(submonomials(a))
+        assert len({h for h, _ in pairs}) == len(pairs) == math.prod(e + 1 for e in a)
+        for h, g in pairs:
+            assert h == trim(h) and g == trim(g), (a, h, g)
+            assert alpha_mul(h, g) == alpha_mul(g, h) == a, (a, h, g)
+            assert g == alpha_sub(a, h), (a, h)
 
 
 def test_prelie_fixtures():
