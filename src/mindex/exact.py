@@ -2,11 +2,11 @@
 the summation operator and Bernoulli numbers.
 
 Polynomials are sparse ``exponent -> coefficient`` maps with no degree
-bound.  ``indefinite_sum`` (the discrete antiderivative ``p -> P`` with
-``P(n) = p(0) + ... + p(n-1)``) is computed in the binomial-coefficient
-basis ``binom(X, n)``, where it is a plain index shift; it is a weight-1
-Rota-Baxter operator.  Both basis changes and evaluation run on integers
-over one common denominator; a value is an ``int`` when integral.
+bound.  A private kernel holds an integer-valued polynomial as integer
+coefficients on ``binom(X, n)`` and converts a result to powers of X once;
+there ``indefinite_sum`` (``P(n) = p(0) + ... + p(n-1)``, a weight-1
+Rota-Baxter operator) is an index shift.  Basis changes and evaluation run
+on integers over one common denominator, a value an ``int`` when integral.
 Bernoulli numbers follow the convention with ``B_1 = +1/2``.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .linear import LinComb, _exact, add_term
 
@@ -97,8 +97,7 @@ def binomial_poly(n: int) -> Poly:
     """binom(X, n) = X(X-1)...(X-n+1)/n!; the constant 1 for n = 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    falling = Poly.product(Poly({1: 1, 0: -i}) for i in range(n))
-    return falling.scale(Fraction(1, math.factorial(n)))
+    return _from_binomial([0] * n + [1])
 
 
 def _scaled(p: Poly) -> tuple[list[int], int]:
@@ -132,24 +131,57 @@ def _differences(p: Poly) -> tuple[list[int], int]:
 def indefinite_sum(p: Poly) -> Poly:
     """The unique polynomial P with P(n) = p(0) + ... + p(n-1) for n >= 1:
     ``sum_n c_n binom(X, n + 1)`` for the coefficients ``c_n`` of ``p`` in
-    the basis ``binom(X, n)``.  Over the denominator ``den * (d + 1)!``
-    every term is an integer: ``c_n den`` times the falling factorial
-    ``X(X-1)...(X-n)`` times ``(d + 1)!/(n + 1)!``."""
+    the basis ``binom(X, n)``, so an index shift in that basis."""
     diffs, den = _differences(p)
-    top = len(diffs)
+    return _from_binomial([0] + diffs, den)
+
+
+def _binomial_product(factors: Iterable[Sequence[int]]) -> Sequence[int]:
+    """The product of coefficient lists, ``(1,)`` if there is none:
+    binom(X, m) binom(X, n) is sum_k C(m+n-k, m) C(m, k) binom(X, m+n-k),
+    each weight the one before times (m-k)(n-k) / ((k+1)(m+n-k)), exactly."""
+    factors = iter(factors)
+    out = next(factors, (1,))
+    for v in factors:
+        u, out = out, [0] * (len(out) + len(v) - 1)
+        for m, um in enumerate(u):
+            if um:
+                for n, vn in enumerate(v):
+                    if vn:
+                        j = m + n
+                        c = um * vn * math.comb(j, m)
+                        for k in range(min(m, n)):
+                            out[j - k] += c
+                            c = c * (m - k) * (n - k) // ((k + 1) * (j - k))
+                        out[j - min(m, n)] += c
+    return out
+
+
+def _binomial_sum(terms: Iterable[tuple[int, Sequence[int]]]) -> list:
+    """The sum of ``c * coeffs`` over the ``(c, coeffs)`` pairs."""
+    out = [0]
+    for c, coeffs in terms:
+        out.extend([0] * (len(coeffs) - len(out)))
+        for n, x in enumerate(coeffs):
+            out[n] += c * x
+    return out
+
+
+def _from_binomial(coeffs: Sequence[int], den: int = 1) -> Poly:
+    """``sum_n coeffs[n] binom(X, n) / den`` in powers of X, over ``den * top!``
+    (``top`` the last index): ``coeffs[n] top!/n!`` times the falling factorial
+    ``X(X-1)...(X-n+1)``, all integers, each row built from the one before."""
+    top = len(coeffs) - 1
     num = [0] * (top + 1)  # by ascending power of X
     falling = [1]  # X(X-1)...(X-n+1) by ascending power, from n = 0
-    for n, diff in enumerate(diffs):
-        falling = [lo - n * hi for lo, hi in zip([0] + falling, falling + [0])]
-        if diff:
-            weight = diff * math.perm(top, top - n - 1)  # times (d + 1)!/(n + 1)!
+    for n, c in enumerate(coeffs):
+        if c:
+            weight = c * math.perm(top, top - n)  # times top!/n!
             for e, f in enumerate(falling):
                 num[e] += weight * f
-    terms: dict = {}
+        falling = [lo - n * hi for lo, hi in zip([0] + falling, falling + [0])]
     total = den * math.factorial(top)
-    for e, c in enumerate(num):
-        add_term(terms, e, Fraction(c, total))
-    return Poly.adopt(terms)
+    return Poly({e: Fraction(c, total) for e, c in enumerate(num)})
 
 
 @lru_cache(maxsize=None)

@@ -1,16 +1,16 @@
 """Bridges between multi-indices, rooted trees and polynomials.
 
-``tree_lift`` sends a degree-0 monomial to the weighted sum of all trees
-with that fertility profile, weighted by ``lift_coeff`` times plane counts;
+``tree_lift`` sends a degree-0 monomial to the sum of all trees with that
+fertility profile, with integer weights ``lift_coeff`` times plane counts;
 the law suites compare it with ``tree_lift_by_symmetry``, the independent
 weighting by inverse symmetry factors.  ``poly_invariant`` computes the
-fundamental polynomial invariant by three routes: through the tree lift,
-through a summation fixed point, and directly from the iterated reduced
-coproduct.  Its values at -1 give the character inverting the substitution
-counit, which in turn yields the closed antipode formula, computed block by
-block; it is the oracle of ``bialgebra.antipode``, which the CLI uses.
-``ds_solve`` expands the grafting fixed-point series driven by a coefficient
-sequence.
+fundamental polynomial invariant by three routes, on integers in the basis
+binom(X, n): through the tree lift, through a summation fixed point, and
+from the iterated reduced coproduct.  Its values at -1 give the character
+inverting the substitution counit, which in turn yields the closed antipode
+formula, computed block by block; it is the oracle of
+``bialgebra.antipode``, which the CLI uses.  ``ds_solve`` expands the
+grafting fixed-point series driven by a coefficient sequence.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .bialgebra import (
     _sub_coproduct_block,
     forest_mono,
 )
-from .exact import Poly, binomial_poly, indefinite_sum
+from .exact import Poly, _binomial_product, _binomial_sum, _from_binomial
 from .linear import add_term, is_morphism
 from .monomials import (
     Alpha,
@@ -75,8 +75,10 @@ def lift_coeff(a: Alpha) -> Fraction:
 def tree_lift(a: Alpha) -> HCKElem:
     """Weighted sum of trees with fertility monomial x^a; zero off degree 0.
 
-    Each tree is weighted by ``lift_coeff(a)`` times its plane count; the law
-    suites compare this with ``tree_lift_by_symmetry``.
+    Each tree is weighted by ``lift_coeff(a)`` times its plane count, which
+    is a!/sym(t), an integer: Aut(t) acts faithfully on the vertices and keeps
+    each fertility class, so it is a subgroup of prod S_{a_i}.  The law suites
+    compare this with ``tree_lift_by_symmetry``.
     """
     a = trim(a)
     if not a:
@@ -84,7 +86,9 @@ def tree_lift(a: Alpha) -> HCKElem:
     if alpha_deg(a) != 0:
         return HCKElem.zero()
     c = lift_coeff(a)
-    return HCKElem([((t,), c * plane_count(t)) for t in trees_with_monomial(a)])
+    return HCKElem.adopt(
+        {(t,): c.numerator * plane_count(t) // c.denominator for t in trees_with_monomial(a)}
+    )
 
 
 def tree_lift_by_symmetry(a: Alpha) -> HCKElem:
@@ -109,35 +113,31 @@ def tree_lift_elem(e: SElem) -> HCKElem:
 
 
 @lru_cache(maxsize=None)
-def _invariant_fixed_point(a: Alpha) -> Poly:
-    """Extract the x^a coefficient of the summation fixed-point series.
+def _invariant_fixed_point(a: Alpha) -> tuple[int, ...]:
+    """Extract the x^a coefficient of the summation fixed-point series, as
+    integer coefficients on binom(X, k).
 
     The x^gamma coefficient of (sum_beta P_beta x^beta/beta!)^i / i! is
     the sum of count/gamma! * prod_{b in f} P_b over (f, count) in
     ``multiset_splits(gamma, i)``; with gamma = a - e_i, a!/gamma! = a_i.
+    Integer counts and a shift for the summation keep every coefficient an integer.
     """
-    inner = Poly.zero()
-    for i, e in enumerate(a):
-        if not e:
-            continue
-        for f, count in multiset_splits(alpha_sub(a, unit_exp(i)), i):
-            inner = inner + Poly.product(map(_invariant_fixed_point, f)).scale(e * count)
-    return indefinite_sum(inner)
+    inner = _binomial_sum(
+        (e * count, _binomial_product(map(_invariant_fixed_point, f)))
+        for i, e in enumerate(a)
+        if e
+        for f, count in multiset_splits(alpha_sub(a, unit_exp(i)), i)
+    )
+    return (0, *inner)
 
 
 @lru_cache(maxsize=None)
 def _invariant_direct(a: Alpha) -> Poly:
-    """Iterated-coproduct formula: counit words against binomial polynomials."""
+    """Iterated-coproduct formula: the counit words of step k weigh binom(X, k)."""
     state: dict[ForestMono, Fraction] = {forest_mono([a]): 1}
-    result = Poly.zero()
-    k = 1
+    hits = [0]
     while state:
-        hit = 0
-        for f, c in state.items():
-            if all(b == X0 for b in f):
-                hit += c
-        if hit:
-            result = result + binomial_poly(k).scale(hit)
+        hits.append(sum(c for f, c in state.items() if all(b == X0 for b in f)))
         nxt: dict[ForestMono, Fraction] = {}
         for f, c in state.items():
             for (f1, f2), c2 in _block_coproduct_fm(f, "graft").terms.items():
@@ -146,8 +146,7 @@ def _invariant_direct(a: Alpha) -> Poly:
                 if all(b == X0 for b in f2):
                     add_term(nxt, f1, c * c2)
         state = nxt
-        k += 1
-    return result
+    return _from_binomial(hits)
 
 
 def poly_invariant(a: Alpha, route: str = "via-ck") -> Poly:
@@ -158,7 +157,7 @@ def poly_invariant(a: Alpha, route: str = "via-ck") -> Poly:
     if route == "via-ck":
         return strict_order_poly_elem(tree_lift(a))
     if route == "fixed-point":
-        return _invariant_fixed_point(a)
+        return _from_binomial(_invariant_fixed_point(a))
     if route == "direct":
         return _invariant_direct(a)
     raise ValueError(f"unknown route {route!r}; choose from {ROUTES}")

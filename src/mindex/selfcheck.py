@@ -21,7 +21,7 @@ from . import parsing
 from . import trees as T
 from . import words as W
 from .exact import Poly, bernoulli, binomial_poly, indefinite_sum
-from .linear import antipode_law, coassociative, cointeraction, counital, graded
+from .linear import _exact, antipode_law, coassociative, cointeraction, counital, graded
 from .monomials import CPoly, alpha_deg, alpha_factorial, alpha_len, alpha_weight
 from .trees import HCKElem, HCKTensor, RootedTree
 from .words import NCPoly
@@ -65,10 +65,10 @@ def rand_cpoly(rng: random.Random, size: int) -> CPoly:
 
 def rand_character(rng: random.Random, size: int) -> B.Character:
     table = {
-        rand_alpha(rng, size): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        rand_alpha(rng, size): _exact(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
         for _ in range(3)
     }
-    return B.Character(lambda a: table.get(a, Fraction(0)), "rand")
+    return B.Character(lambda a: table.get(a, 0), "rand")
 
 
 def alphas_up_to(max_len: int, max_idx: int):

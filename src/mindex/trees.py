@@ -16,7 +16,7 @@ contracts them, by one post-order pass that counts partial rows per
 subtree (with the walk over all kept-edge sets as its oracle);
 ``TREE_SIDE`` describes the pair to the law kit of ``linear``.
 ``strict_order_poly`` maps a forest to the polynomial counting strictly
-increasing labelings.
+increasing labelings, memoised per tree on integers in the binomial basis.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .exact import Poly, indefinite_sum
+from .exact import Poly, _binomial_product, _binomial_sum, _from_binomial
 from .linear import DoubleBialgebra, LinComb, Tensor, add_term
 from .monomials import (
     Alpha,
@@ -258,14 +258,20 @@ def trees_with_monomial(a: Alpha) -> tuple[RootedTree, ...]:
 def _twm(a: Alpha) -> tuple[RootedTree, ...]:
     if a == (1,):
         return (LEAF,)
-    found = set()
+    found: list[RootedTree] = []  # each multiset comes once, so no repeats
     for r in range(1, len(a)):
-        if a[r] == 0:
-            continue
-        rest = alpha_sub(a, unit_exp(r))
-        for kids in _child_multisets(rest, r, None):
-            found.add(RootedTree(kids))
+        if a[r]:
+            found += map(RootedTree, _child_multisets(alpha_sub(a, unit_exp(r)), r, None))
     return tuple(sorted(found, key=_enc))
+
+
+@lru_cache(maxsize=None)
+def _tree_divisors(rest: Alpha) -> tuple[tuple[Alpha, Alpha, int], ...]:
+    """The divisors of x^rest that index trees (degree 0, not the unit), each
+    with its cofactor and the cofactor's length."""
+    return tuple(
+        (b, left, alpha_len(left)) for b, left in submonomials(rest) if b and alpha_deg(b) == 0
+    )
 
 
 def _child_multisets(rest: Alpha, r: int, low: RootedTree | None):
@@ -275,10 +281,8 @@ def _child_multisets(rest: Alpha, r: int, low: RootedTree | None):
         if not rest:
             yield ()
         return
-    for beta, left in submonomials(rest):
-        if not beta or alpha_deg(beta) != 0:
-            continue
-        if alpha_len(beta) > alpha_len(rest) - (r - 1):
+    for beta, left, n_left in _tree_divisors(rest):
+        if n_left < r - 1:  # each of the other r - 1 trees needs a letter
             continue
         for t in _twm(beta):
             if low is not None and t.enc < low.enc:
@@ -559,23 +563,27 @@ TREE_SIDE = DoubleBialgebra(
 # -- the polynomial invariant ---------------------------------------------
 
 
-_order_poly_memo: dict = {}
+_order_poly_memo: dict = {}  # tree -> its polynomial in the binomial basis
 
 
-def _strict_order_poly_tree(t: RootedTree) -> Poly:
+def _order_poly_vec(t: RootedTree) -> tuple[int, ...]:
     return _filled(_order_poly_memo, _order_poly_step, t)
 
 
-def _order_poly_step(t: RootedTree) -> Poly:
-    return indefinite_sum(Poly.product(map(_strict_order_poly_tree, t.children)))
+def _order_poly_step(t: RootedTree) -> tuple[int, ...]:
+    """The summation operator, an index shift, on the children's product."""
+    return (0, *_binomial_product(map(_order_poly_vec, t.children)))
 
 
 def strict_order_poly(f: Forest) -> Poly:
     """Polynomial whose value at n counts strictly increasing maps from the
     forest poset to {1..n}; algebra map intertwining grafting with the
-    summation operator."""
-    return Poly.product(map(_strict_order_poly_tree, f))
+    summation operator; integer coefficients on binom(X, k), converted once."""
+    return _from_binomial(_binomial_product(map(_order_poly_vec, f)))
 
 
 def strict_order_poly_elem(e: HCKElem) -> Poly:
-    return e.map_keys(strict_order_poly, target=Poly)
+    """``strict_order_poly`` extended linearly, converted once."""
+    return _from_binomial(
+        _binomial_sum((c, _binomial_product(map(_order_poly_vec, f))) for f, c in e.terms.items())
+    )

@@ -1,9 +1,18 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from mindex.exact import Poly, bernoulli, binomial_poly, indefinite_sum, multinomial
+from mindex.exact import (
+    Poly,
+    _binomial_product,
+    _from_binomial,
+    bernoulli,
+    binomial_poly,
+    indefinite_sum,
+    multinomial,
+)
 
 X = Poly.x()
 
@@ -116,6 +125,39 @@ def test_indefinite_sum_matches_sympy():
         p = Poly({e: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for e in range(degree + 1)})
         want = sympy.summation(_to_sympy(sympy, p, k), (k, 0, x - 1))
         assert sympy.expand(want - _to_sympy(sympy, indefinite_sum(p), x)) == 0
+
+
+def _falling_binomial(n: int) -> Poly:
+    """binom(X, n) as the product of its linear factors over n!."""
+    falling = Poly.product(Poly({1: 1, 0: -i}) for i in range(n))
+    return falling.scale(Fraction(1, math.factorial(n)))
+
+
+def _sum_of_binomials(coeffs) -> Poly:
+    return sum((_falling_binomial(n).scale(c) for n, c in enumerate(coeffs)), Poly.zero())
+
+
+def test_binomial_kernel_product_matches_poly_products():
+    """The integer product in the basis binom(X, n) against the product in
+    powers of X, read back through ``binomial_coeffs``."""
+    rng = random.Random(3)
+    for _ in range(80):
+        u = [rng.randint(-9, 9) for _ in range(rng.randint(1, 9))]
+        v = [rng.randint(-9, 9) for _ in range(rng.randint(1, 9))]
+        want = (_sum_of_binomials(u) * _sum_of_binomials(v)).binomial_coeffs()
+        assert {n: c for n, c in enumerate(_binomial_product([u, v])) if c} == want, (u, v)
+    assert tuple(_binomial_product([])) == (1,)
+
+
+def test_binomial_conversion_matches_the_sum_of_binomial_polys():
+    rng = random.Random(4)
+    for _ in range(40):
+        coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 12))]
+        den = rng.randint(1, 12)
+        want = _sum_of_binomials(coeffs).scale(Fraction(1, den))
+        assert _from_binomial(coeffs, den) == want, (coeffs, den)
+    for n in range(12):
+        assert binomial_poly(n) == _falling_binomial(n)
 
 
 def test_bernoulli_matches_sympy():

@@ -134,7 +134,7 @@ def test_poly_invariant_rejects_bad_route():
 
 
 def test_three_route_agreement_all_degree_zero():
-    for a in alphas_up_to(5, 4):
+    for a in alphas_up_to(9, 8):
         if alpha_deg(a) != 0:
             continue
         p1 = poly_invariant(a, "via-ck")

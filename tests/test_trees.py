@@ -34,6 +34,7 @@ from mindex.trees import (
     ladder,
     plane_count,
     strict_order_poly,
+    strict_order_poly_elem,
     symmetry_factor,
     tree_stats,
     trees_with_monomial,
@@ -154,9 +155,11 @@ def test_deep_ladder_cut_and_order_poly_under_a_low_recursion_limit():
     t = ladder(low + 40)
 
     def cold():
+        # the conversion to powers of X keeps no cache: each call converts
+        # from scratch at degree t.size, above the limit
         _cut_memo.clear()
         _order_poly_memo.clear()
-        return cut_coproduct((t,)), strict_order_poly((t,))
+        return cut_coproduct((t,)), strict_order_poly((t,)), binomial_poly(t.size)
 
     want = cold()
     old = sys.getrecursionlimit()
@@ -170,7 +173,8 @@ def test_deep_ladder_cut_and_order_poly_under_a_low_recursion_limit():
     assert want[0] == HCKTensor(
         {((ladder(k - j),) if j < k else (), (ladder(j),) if j else ()): 1 for j in range(k + 1)}
     )
-    assert want[1] == binomial_poly(k)
+    assert want[1] == want[2]
+    assert want[2](k) == 1 and want[2](k + 1) == k + 1
 
 
 def test_memo_miss_steps_each_missing_subtree_once(monkeypatch):
@@ -206,7 +210,7 @@ def test_trees_with_monomial_fixtures():
 
 def test_trees_with_monomial_vs_exhaustive():
     by_mono = {}
-    for t in trees_up_to(6):
+    for t in trees_up_to(10):
         by_mono.setdefault(fertility_monomial(t), set()).add(t)
     for a, want in by_mono.items():
         got = trees_with_monomial(a)
@@ -399,6 +403,42 @@ def test_order_polynomial_families():
         p = strict_order_poly((corolla(n),))
         for k in range(1, 7):
             assert p(k) == sum(j ** (n - 1) for j in range(k)), (n, k)
+
+
+def _increasing_labellings(f, k: int) -> int:
+    """Labellings of the forest f by 1..k that increase strictly from each
+    parent to its children, by dynamic programming on the root's label."""
+
+    def rooted_at(t):  # [v] -> labellings of t with root label v
+        counts = [0] + [1] * k
+        for child in t.children:
+            sub, above, acc = rooted_at(child), [0] * (k + 1), 0
+            for v in range(k, 0, -1):
+                above[v] = acc  # the child's labellings with root label > v
+                acc += sub[v]
+            counts = [x * y for x, y in zip(counts, above)]
+        return counts
+
+    return math.prod(sum(rooted_at(t)) for t in f)
+
+
+def test_order_poly_counts_strictly_increasing_labellings():
+    for t in trees_up_to(9):
+        p = strict_order_poly((t,))
+        assert all(p(k) == _increasing_labellings((t,), k) for k in range(t.size + 2)), t
+    rng = random.Random(8)
+    pool = list(trees_up_to(6))
+    for _ in range(30):
+        forests = [forest(rng.choices(pool, k=rng.randint(0, 3))) for _ in range(3)]
+        for f in forests:
+            p = strict_order_poly(f)
+            size = sum(t.size for t in f)
+            assert all(p(k) == _increasing_labellings(f, k) for k in range(size + 2)), f
+        e = HCKElem([(f, Fraction(rng.randint(-4, 4), rng.randint(1, 4))) for f in forests])
+        want = Poly.zero()
+        for f, c in e.terms.items():
+            want = want + strict_order_poly(f).scale(c)
+        assert strict_order_poly_elem(e) == want
 
 
 def test_stats_identities_through_seven_vertices():
