@@ -23,9 +23,9 @@ coproducts live here:
 Both extend multiplicatively to forests and make the space a double
 bialgebra, described to the law kit of ``linear`` by ``FOREST_SIDE``; the
 kit's ``cointeraction`` checks the defining identity in ``cointeraction_holds``.
-``antipode`` is the antipode of the Hopf coproduct by its connected
-recursion; the CLI uses it, and the law suites check it against the closed
-formula ``morphisms.antipode_via_mu``.
+``antipode`` is the antipode of the Hopf coproduct, the product over a
+forest's blocks of each block's connected recursion; the CLI uses it, and
+the law suites check it against the closed formula ``morphisms.antipode_via_mu``.
 """
 
 from __future__ import annotations
@@ -286,20 +286,19 @@ def counit_graft(e: SElem) -> int | Fraction:
 
 
 def antipode(e: SElem) -> SElem:
-    """Antipode for the Hopf coproduct, by the connected recursion."""
-    return e.map_keys(_antipode_fm)
+    """Antipode for the Hopf coproduct: an algebra map, as the forest product
+    is commutative, so each forest goes to the product of its blocks' images."""
+    return e.map_keys(lambda f: SElem.product(map(_antipode_block, f)))
 
 
 @lru_cache(maxsize=None)
-def _antipode_fm(f: ForestMono) -> SElem:
-    if not f:
-        return SElem.one()
-    data: dict = {f: -1}
-    for (left, right), c in _block_coproduct_fm(f, "graft").terms.items():
-        if not left or not right:
-            continue
-        for s, cs in _antipode_fm(left).terms.items():
-            add_term(data, fm_mul(s, right), -c * cs)
+def _antipode_block(a: Alpha) -> SElem:
+    """The connected recursion on x^a, whose left factors are single blocks."""
+    data: dict = {(a,): -1}
+    for (left, right), c in _graft_coproduct_block(a).terms.items():
+        if left and right:
+            for s, cs in _antipode_block(left[0]).terms.items():
+                add_term(data, fm_mul(s, right), -c * cs)
     return SElem.adopt(data)
 
 

@@ -116,7 +116,7 @@ def _dims(args) -> str:
     return "\n".join("\t".join(r) for r in [header] + rows)
 
 
-def _stats(args) -> str:
+def _stats(args) -> dict:
     s, p, m = T.tree_stats(parse_tree(args.expr))
     return {"symmetry": s, "plane": p, "monomial": M.format_alpha(m)}
 

@@ -327,7 +327,7 @@ def novikov_multi(p: CPoly, args: Sequence[CPoly]) -> CPoly:
     return CPoly.product([shift_up_power(p, len(args)), *args])
 
 
-SplitTensor = dict[tuple[Alpha, ...], Fraction]
+SplitTensor = dict[tuple[Alpha, ...], int | Fraction]
 
 
 def shuffle_splits(p: CPoly, n: int) -> SplitTensor:

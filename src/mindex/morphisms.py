@@ -6,11 +6,11 @@ the law suites compare it with ``tree_lift_by_symmetry``, the independent
 weighting by inverse symmetry factors.  ``poly_invariant`` computes the
 fundamental polynomial invariant by three routes, on integers in the basis
 binom(X, n): through the tree lift, through a summation fixed point, and
-from the iterated reduced coproduct.  Its values at -1 give the character
-inverting the substitution counit, which in turn yields the closed antipode
-formula, computed block by block; it is the oracle of
-``bialgebra.antipode``, which the CLI uses.  ``ds_solve`` expands the
-grafting fixed-point series driven by a coefficient sequence.
+from the iterated reduced coproduct of a block.  Its values at -1 give the
+character inverting the substitution counit, which in turn yields the
+closed antipode formula, computed block by block; it is the oracle of the
+block-wise recursion ``bialgebra.antipode``, which the CLI uses.
+``ds_solve`` expands the grafting fixed-point series of a coefficient sequence.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .bialgebra import (
     ForestMono,
     SElem,
     X0,
-    _block_coproduct_fm,
+    _graft_coproduct_block,
     _sub_coproduct_block,
     forest_mono,
 )
@@ -133,18 +133,17 @@ def _invariant_fixed_point(a: Alpha) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _invariant_direct(a: Alpha) -> Poly:
-    """Iterated-coproduct formula: the counit words of step k weigh binom(X, k)."""
-    state: dict[ForestMono, Fraction] = {forest_mono([a]): 1}
+    """Iterated-coproduct formula: the counit words of step k weigh binom(X, k).
+    A block coproduct's left factors are blocks, so the state counts blocks."""
+    state: dict[Alpha, int] = {a: 1}
     hits = [0]
     while state:
-        hits.append(sum(c for f, c in state.items() if all(b == X0 for b in f)))
-        nxt: dict[ForestMono, Fraction] = {}
-        for f, c in state.items():
-            for (f1, f2), c2 in _block_coproduct_fm(f, "graft").terms.items():
-                if not f1 or not f2:
-                    continue
-                if all(b == X0 for b in f2):
-                    add_term(nxt, f1, c * c2)
+        hits.append(state.get(X0, 0))
+        nxt: dict[Alpha, int] = {}
+        for b, c in state.items():
+            for (f1, f2), c2 in _graft_coproduct_block(b).terms.items():
+                if f1 and f2 and all(x == X0 for x in f2):
+                    add_term(nxt, f1[0], c * c2)
         state = nxt
     return _from_binomial(hits)
 

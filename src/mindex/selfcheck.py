@@ -351,9 +351,11 @@ def law_antipode(rng, size):
     for _ in range(5):
         a = rand_alpha(rng, cap, max_weight=2 * cap)
         e = B.SElem.block(a)
-        assert antipode_law(B.FOREST_SIDE, B._antipode_fm, (a,)), a
+        assert antipode_law(B.FOREST_SIDE, lambda f: B.antipode(B.SElem.basis(f)), (a,)), a
         s = B.antipode(e)
         assert B.antipode(s) == e, a
+    f = B.forest_mono([rand_alpha(rng, cap, max_weight=cap) for _ in range(2)])
+    assert antipode_law(B.FOREST_SIDE, lambda f: B.antipode(B.SElem.basis(f)), f), f
 
 
 def law_cointeraction(rng, size):

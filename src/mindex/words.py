@@ -215,7 +215,7 @@ def block_permutation(sigma: Sequence[int], lengths: Sequence[int]) -> tuple[int
     return tuple(pi)
 
 
-WordTensor = dict[tuple[Word, tuple[Word, ...]], Fraction]
+WordTensor = dict[tuple[Word, tuple[Word, ...]], int | Fraction]
 
 
 def word_coproduct(w: Word) -> WordTensor:
@@ -232,7 +232,7 @@ def word_coproduct(w: Word) -> WordTensor:
         for cuts in itertools.combinations(range(1, n), k - 1):
             bounds = (0,) + cuts + (n,)
             blocks = [w[bounds[m] : bounds[m + 1]] for m in range(k)]
-            per_block: list[list[tuple[int, Word, Fraction]]] = []
+            per_block: list[list[tuple[int, Word, int | Fraction]]] = []
             for block in blocks:
                 options = []
                 p = NCPoly.basis(block)

@@ -27,15 +27,36 @@ from mindex.bialgebra import (
     graft_coproduct_block_oracle,
     sub_coproduct,
     sub_coproduct_block_oracle,
-    _antipode_fm,
+    _antipode_block,
+    _block_coproduct_fm,
 )
 from mindex.linear import antipode_law, coassociative, counital, graded
-from mindex.monomials import alpha_len, alpha_weight
+from mindex.monomials import alpha_deg, alpha_len, alpha_weight
+from mindex.morphisms import _invariant_direct, poly_invariant
 from mindex.parsing import parse_selem
 from mindex.selfcheck import alphas_up_to
 
 fm = forest_mono
 block = SElem.block
+
+
+def antipode_of(f):
+    return antipode(SElem.basis(f))
+
+
+def forests_up_to(max_len: int, max_idx: int):
+    """Every nonempty forest of at most ``max_len`` letters in all, with
+    indices at most ``max_idx``."""
+    blocks = sorted(alphas_up_to(max_len, max_idx))
+
+    def extend(start, forest, room):
+        if forest:
+            yield fm(forest)
+        for i in range(start, len(blocks)):
+            if alpha_len(blocks[i]) <= room:
+                yield from extend(i, forest + [blocks[i]], room - alpha_len(blocks[i]))
+
+    return list(extend(0, [], max_len))
 
 
 def test_bar_product():
@@ -170,7 +191,49 @@ def test_exhaustive_bialgebra_laws():
         assert graded(side.delta, key, fm_weight), a
         assert graded(side.delta, key, fm_deg), a
         assert graded(side.Delta, key, fm_len), a
-        assert antipode_law(side, _antipode_fm, key), a
+        assert antipode_law(side, antipode_of, key), a
+
+
+def test_antipode_law_on_every_small_forest():
+    """The antipode law on every forest of at most 5 letters with indices at
+    most 3.  Where it holds on all forests of at most N letters, the connected
+    recursion fixes the antipode of each, so this checks the block-by-block
+    product exactly."""
+    forests = forests_up_to(5, 3)
+    assert len(forests) == 1481
+    assert sum(len(f) > 1 for f in forests) == 1356
+    for f in forests:
+        assert antipode_law(FOREST_SIDE, antipode_of, f), f
+
+
+def test_antipode_law_negative_control_on_two_blocks():
+    """An antipode right on every block but wrong on one two-block forest
+    breaks the law there."""
+    target = fm([(1, 1), (2,)])
+
+    def wrong(f):
+        s = antipode_of(f)
+        return s + SElem.basis(fm([(1,), (1,), (1,)])) if f == target else s
+
+    for b in target:
+        assert antipode_law(FOREST_SIDE, wrong, (b,)), b
+    assert antipode_law(FOREST_SIDE, antipode_of, target)
+    assert not antipode_law(FOREST_SIDE, wrong, target)
+
+
+def test_antipode_and_direct_invariant_build_no_forest_coproduct():
+    """The antipode of a three-block forest and the direct invariant read
+    block coproducts only: the forest-level memo stays empty."""
+    three = parse_selem("x0^3*x1*x2 | x0^2*x1^2*x2 | x0*x1*x2*x3")
+    a = (4, 2, 1, 1)
+    assert alpha_deg(a) == 0
+    _antipode_block.cache_clear()
+    _invariant_direct.cache_clear()
+    _block_coproduct_fm.cache_clear()
+    s = antipode(three)
+    assert len(s.terms) == 8752
+    assert poly_invariant(a, "direct") == poly_invariant(a, "fixed-point")
+    assert _block_coproduct_fm.cache_info().currsize == 0
 
 
 def test_law_kit_negative_controls():
