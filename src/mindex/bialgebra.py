@@ -310,9 +310,8 @@ class Character:
     materialized.
     """
 
-    def __init__(self, on_block: Callable[[Alpha], int | Fraction], name: str = ""):
+    def __init__(self, on_block: Callable[[Alpha], int | Fraction]):
         self._on_block = on_block
-        self.name = name
 
     def block(self, a: Alpha) -> int | Fraction:
         return self._on_block(a)
@@ -329,8 +328,8 @@ class Character:
         return sum(c * self.forest(f) for f, c in e.terms.items())
 
 
-eps_sub_character = Character(lambda a: 1 if a == X0 else 0, "eps_sub")
-eps_graft_character = Character(lambda a: 0, "eps_graft")
+eps_sub_character = Character(lambda a: 1 if a == X0 else 0)
+eps_graft_character = Character(lambda a: 0)
 
 
 def convolve(f: Character, g: Character, which: str = "graft") -> Character:
@@ -348,7 +347,7 @@ def convolve(f: Character, g: Character, which: str = "graft") -> Character:
                 total += c * fl * g.forest(right)
         return total
 
-    return Character(on_block, f"({f.name} conv[{which}] {g.name})")
+    return Character(on_block)
 
 
 FOREST_SIDE = DoubleBialgebra(

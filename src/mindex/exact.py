@@ -60,8 +60,8 @@ class Poly(LinComb):
         return cls({0: value})
 
     @classmethod
-    def x(cls, exponent: int = 1) -> "Poly":
-        return cls({exponent: 1})
+    def x(cls) -> "Poly":
+        return cls({1: 1})
 
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""

@@ -176,12 +176,6 @@ class LinComb:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __iter__(self):
-        return iter(self.terms.items())
-
-    def __len__(self):
-        return len(self.terms)
-
     def coeff(self, key):
         return self.terms.get(key, 0)
 

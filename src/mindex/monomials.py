@@ -216,11 +216,11 @@ class CPoly(LinComb):
         return cls.basis(unit_exp(i))
 
     @classmethod
-    def monomial(cls, a: Alpha, coeff=1) -> "CPoly":
+    def monomial(cls, a: Alpha) -> "CPoly":
         a = trim(a)
         if not a:
             raise ValueError("the unit monomial is not an element here")
-        return cls.basis(a, coeff)
+        return cls.basis(a)
 
 
 def abelianize(p: NCPoly) -> CPoly:
@@ -332,6 +332,8 @@ SplitTensor = dict[tuple[Alpha, ...], int | Fraction]
 
 def shuffle_splits(p: CPoly, n: int) -> SplitTensor:
     """Iterated reduced splitting into n+1 nonzero parts, with multinomials."""
+    if n < 0:
+        raise ValueError("the number of splits must be >= 0")
     rows: SplitTensor = {}
     for a, c in p.terms.items():
         if n == 0:

@@ -131,7 +131,6 @@ def _invariant_fixed_point(a: Alpha) -> tuple[int, ...]:
     return (0, *inner)
 
 
-@lru_cache(maxsize=None)
 def _invariant_direct(a: Alpha) -> Poly:
     """Iterated-coproduct formula: the counit words of step k weigh binom(X, k).
     A block coproduct's left factors are blocks, so the state counts blocks."""
@@ -163,6 +162,8 @@ def poly_invariant(a: Alpha, route: str = "via-ck") -> Poly:
 
 
 def poly_invariant_fm(f: ForestMono, route: str = "via-ck") -> Poly:
+    if route not in ROUTES:
+        raise ValueError(f"unknown route {route!r}; choose from {ROUTES}")
     return Poly.product(poly_invariant(block, route) for block in f)
 
 
@@ -190,7 +191,7 @@ def mu_value(a: Alpha) -> int:
     return -total
 
 
-mu_character = Character(mu_value, "mu")
+mu_character = Character(mu_value)
 
 
 def antipode_via_mu(e: SElem) -> SElem:

@@ -144,14 +144,9 @@ def partial_compose(p: NCPoly, i: int, q: NCPoly) -> NCPoly:
     n = arities.pop()
     if not 1 <= i <= n:
         raise ValueError(f"slot {i} out of range 1..{n}")
-    unit = NCPoly.word((0,))
-    data: dict = {}
-    for w, c in p.terms.items():
-        args = [unit] * n
-        args[i - 1] = q
-        for w2, c2 in compose(w, args).terms.items():
-            add_term(data, w2, c * c2)
-    return NCPoly.adopt(data)
+    args = [NCPoly.word((0,))] * n
+    args[i - 1] = q
+    return p.map_keys(lambda w: compose(w, args))
 
 
 def brace(w: Word, args: Sequence) -> NCPoly:
@@ -192,27 +187,16 @@ def permute(w: Word, sigma: Sequence[int]) -> Word:
 def block_permutation(sigma: Sequence[int], lengths: Sequence[int]) -> tuple[int, ...]:
     """Letter-level permutation induced by relabelling composition slots.
 
-    ``lengths[j]`` is the letter count contributed by slot j of the left-hand
-    side; the result satisfies
-    ``compose(permute(w, sigma), args) == permute_result`` bookkeeping used in
-    the equivariance law.
+    Slot j holds ``lengths[j]`` letters and moves to slot ``sigma[j]``: its
+    letters keep their order and follow those of every slot moved before it.
+    The equivariance law permutes each word of a composition by the result.
     """
-    n = len(sigma)
-    inv = [0] * n
-    for j in range(n):
-        inv[sigma[j]] = j
-    start_lhs = [0] * n
-    for j in range(1, n):
-        start_lhs[j] = start_lhs[j - 1] + lengths[j - 1]
-    rhs_lengths = [lengths[inv[k]] for k in range(n)]
-    start_rhs = [0] * n
-    for k in range(1, n):
-        start_rhs[k] = start_rhs[k - 1] + rhs_lengths[k - 1]
-    pi = [0] * sum(lengths)
-    for j in range(n):
-        for t in range(lengths[j]):
-            pi[start_lhs[j] + t] = start_rhs[sigma[j]] + t
-    return tuple(pi)
+    start = [0] * len(sigma)
+    pos = 0
+    for j in sorted(range(len(sigma)), key=lambda j: sigma[j]):
+        start[j] = pos
+        pos += lengths[j]
+    return tuple(start[j] + t for j, n in enumerate(lengths) for t in range(n))
 
 
 WordTensor = dict[tuple[Word, tuple[Word, ...]], int | Fraction]

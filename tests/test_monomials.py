@@ -3,6 +3,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from mindex import words
 from mindex.bialgebra import forest_mono, format_fm
 from mindex.linear import add_term
@@ -195,6 +197,8 @@ def test_shuffle_splits():
     assert shuffle_splits(x(4), 0) == {((0, 0, 0, 0, 1),): Fraction(1)}
     # multinomial coefficients: x0^3 into three parts
     assert shuffle_splits(x(0) ** 3, 2) == {((1,), (1,), (1,)): Fraction(6)}
+    with pytest.raises(ValueError):
+        shuffle_splits(x(0) ** 3, -1)
 
 
 def test_multiset_splits_match_ordered_splits():

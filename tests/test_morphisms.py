@@ -129,8 +129,11 @@ def test_poly_invariant_table():
 
 
 def test_poly_invariant_rejects_bad_route():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown route 'nope'"):
         poly_invariant((1, 1), "nope")
+    for f in ((), forest_mono([(1, 1)])):
+        with pytest.raises(ValueError, match="unknown route 'nope'"):
+            poly_invariant_fm(f, "nope")
 
 
 def test_three_route_agreement_all_degree_zero():

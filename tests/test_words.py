@@ -176,15 +176,18 @@ def test_operad_associativity_exhaustive_small():
 
 
 def test_equivariance_instance():
-    word_ = (2, 0, 1)
-    ps = [(1,), (0, 0), (2,)]
-    sigma = [2, 0, 1]
-    inv = [1, 2, 0]
-    lhs = compose(permute(word_, sigma), [w(p) for p in ps])
-    base = compose(word_, [w(ps[inv[k]]) for k in range(3)])
-    pi = block_permutation(sigma, [len(p) for p in ps])
-    rhs = base.map_keys(lambda u: NCPoly.basis(permute(u, pi)))
-    assert lhs == rhs
+    """Every permutation of at most 4 slots, arguments of 1 or 2 letters."""
+    for n in range(1, 5):
+        word_ = tuple(range(n))
+        for sigma in itertools.permutations(range(n)):
+            inv = [sigma.index(k) for k in range(n)]
+            for lengths in itertools.product((1, 2), repeat=n):
+                ps = [tuple(range(j, j + m)) for j, m in enumerate(lengths)]
+                lhs = compose(permute(word_, sigma), [w(p) for p in ps])
+                base = compose(word_, [w(ps[inv[k]]) for k in range(n)])
+                pi = block_permutation(sigma, lengths)
+                rhs = base.map_keys(lambda u: NCPoly.basis(permute(u, pi)))
+                assert lhs == rhs, (sigma, lengths)
 
 
 def test_novikov_relations_displayed():
