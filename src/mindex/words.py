@@ -4,7 +4,9 @@ A word is a nonempty tuple of naturals, the letter i standing for X_i.
 The shift derivation sends X_i to X_{i+1}; composing a word of length n
 with n arguments applies the i_k-fold shift to the k-th argument and
 concatenates.  Grading: length, weight (letter sum) and degree
-weight - length + 1; composition adds degrees.
+weight - length + 1; composition adds degrees.  One closed-form kernel,
+``_shift_power``, takes the shift's powers up and down; the iterated
+one-step derivation (``shift_up_power``, ``shift_down``) is its oracle.
 
 The coproduct dual to composition lives in the tensor algebra over words:
 each output row is (left word, ordered tuple of right words), the right
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -85,55 +88,66 @@ def shift_down(p: NCPoly) -> NCPoly:
 
 
 def shift_up_power(p: NCPoly, n: int) -> NCPoly:
+    """The n-fold ``shift_up``, step by step: the oracle for ``_shift_power``."""
     for _ in range(n):
         p = shift_up(p)
     return p
 
 
+def _compositions(total: int, caps: Sequence[int]):
+    """Every tuple k of naturals with sum ``total`` and k[i] <= caps[i], in
+    lexicographic order: stars and bars within the caps, each tuple made
+    from the one before without recursion."""
+    k = [0] * len(caps)
+    rest = total
+    while True:
+        j = len(k)
+        while rest and j:  # the free steps go as far back as the caps let them
+            j -= 1
+            k[j] = step = caps[j] if caps[j] < rest else rest
+            rest -= step
+        if rest:
+            return
+        yield tuple(k)
+        i = len(k) - 1
+        while i >= 0 and not (rest and k[i] < caps[i]):
+            rest += k[i]
+            k[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        k[i] += 1  # the rightmost slot with room and steps after it takes one more
+        rest -= 1
+
+
+def _shift_power(p: NCPoly, n: int) -> NCPoly:
+    """The n-th power of the shift, of the down-shift for n < 0: by the
+    Leibniz rule, the sum over the splits k of |n| steps over a word's
+    letters (letter i takes at most i steps down) with multinomial weights
+    |n|!/(k_0! k_1! ...).  No step is ``p`` and one step is ``_shift``."""
+    if n in (-1, 0, 1):
+        return _shift(p, n) if n else p
+    steps = abs(n)
+    move = operator.add if n > 0 else operator.sub
+    data: dict = {}
+    for w, c in p.terms.items():
+        for k in _compositions(steps, (steps,) * len(w) if n > 0 else w):
+            add_term(data, tuple(map(move, w, k)), c * multinomial(k))
+    return NCPoly.adopt(data)
+
+
 def _as_ncpoly(arg) -> NCPoly:
-    if isinstance(arg, NCPoly):
-        return arg
-    return NCPoly.word(arg)
+    return arg if isinstance(arg, NCPoly) else NCPoly.word(arg)
 
 
 def compose(w: Word, args: Sequence) -> NCPoly:
     """Operadic composition: i_k-fold shift of the k-th argument, concatenated."""
-    args = [_as_ncpoly(a) for a in args]
+    args = list(map(_as_ncpoly, args))
     if len(args) != len(w):
         raise ArityError(len(w), len(args))
-    if any(a.is_zero() for a in args):
+    if not all(args):
         raise ValueError("composition arguments must be nonzero")
-    return NCPoly.product(shift_up_power(arg, letter) for letter, arg in zip(w, args))
-
-
-def compose_multinomial(w: Word, arg_words: Sequence[Word]) -> NCPoly:
-    """Closed multinomial form of ``compose`` on monomial arguments.
-
-    Independent of the derivation path; kept as an internal oracle.
-    """
-    if len(arg_words) != len(w):
-        raise ArityError(len(w), len(arg_words))
-    return NCPoly.product(
-        NCPoly.adopt({
-            tuple(a + b for a, b in zip(u, split)): multinomial(split)
-            for split in _compositions(letter, len(u))
-        })
-        for letter, u in zip(w, arg_words)
-    )
-
-
-def _compositions(total: int, slots: int):
-    """All tuples of ``slots`` naturals summing to ``total``."""
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    if slots == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, slots - 1):
-            yield (head,) + rest
+    return NCPoly.product(map(_shift_power, args, w))
 
 
 def partial_compose(p: NCPoly, i: int, q: NCPoly) -> NCPoly:
@@ -150,23 +164,17 @@ def partial_compose(p: NCPoly, i: int, q: NCPoly) -> NCPoly:
 
 
 def brace(w: Word, args: Sequence) -> NCPoly:
-    """Brace operation: sum over increasing slot choices of partial substitution.
-
-    With k arguments and k > len(w) the sum is empty, hence zero; with
-    k = 0 the word itself is returned.
-    """
-    args = [_as_ncpoly(a) for a in args]
-    k = len(args)
-    n = len(w)
+    """Brace operation: the sum over increasing slot choices of the
+    composition with the arguments in the chosen slots and X0 elsewhere;
+    zero for more arguments than letters, the word itself for none."""
+    args = list(map(_as_ncpoly, args))
     data: dict = {}
-    for positions in itertools.combinations(range(n), k):
-        chosen = dict(zip(positions, args))
-        prod = NCPoly.product(
-            shift_up_power(chosen[j], letter) if j in chosen else NCPoly.word((letter,))
-            for j, letter in enumerate(w)
-        )
-        for w2, c2 in prod.terms.items():
-            add_term(data, w2, c2)
+    for positions in itertools.combinations(range(len(w)), len(args)):
+        slots = [NCPoly.basis((0,))] * len(w)
+        for j, a in zip(positions, args):
+            slots[j] = a
+        for u, c in NCPoly.product(map(_shift_power, slots, w)).terms.items():
+            add_term(data, u, c)
     return NCPoly.adopt(data)
 
 
@@ -181,6 +189,8 @@ def graded_dim(n: int, k: int) -> int:
 
 def permute(w: Word, sigma: Sequence[int]) -> Word:
     """Right action: position p of the result holds letter w[sigma[p]] (0-based)."""
+    if sorted(sigma) != list(range(len(w))):
+        raise ValueError(f"sigma must be a permutation of range({len(w)}), got {list(sigma)!r}")
     return tuple(w[sigma[p]] for p in range(len(w)))
 
 
@@ -191,12 +201,12 @@ def block_permutation(sigma: Sequence[int], lengths: Sequence[int]) -> tuple[int
     letters keep their order and follow those of every slot moved before it.
     The equivariance law permutes each word of a composition by the result.
     """
-    start = [0] * len(sigma)
-    pos = 0
-    for j in sorted(range(len(sigma)), key=lambda j: sigma[j]):
-        start[j] = pos
-        pos += lengths[j]
-    return tuple(start[j] + t for j, n in enumerate(lengths) for t in range(n))
+    n = len(lengths)
+    if sorted(sigma) != list(range(n)):
+        raise ValueError(f"sigma must be a permutation of range({n}), got {list(sigma)!r}")
+    moved = sorted(range(n), key=sigma.__getitem__)
+    start = dict(zip(moved, itertools.accumulate((lengths[j] for j in moved), initial=0)))
+    return tuple(start[j] + t for j, m in enumerate(lengths) for t in range(m))
 
 
 WordTensor = dict[tuple[Word, tuple[Word, ...]], int | Fraction]
@@ -208,32 +218,20 @@ def word_coproduct(w: Word) -> WordTensor:
     Rows are (left word, tuple of right tensor slots): split w into k
     contiguous blocks, apply the j_m-fold down-shift to block m, and record
     the word of shift orders on the left.  The down-shift is locally
-    nilpotent, so the row set is finite.
+    nilpotent: a block's table runs over the orders up to its letter sum.
     """
-    n = len(w)
     rows: WordTensor = {}
-    for k in range(1, n + 1):
-        for cuts in itertools.combinations(range(1, n), k - 1):
-            bounds = (0,) + cuts + (n,)
-            blocks = [w[bounds[m] : bounds[m + 1]] for m in range(k)]
-            per_block: list[list[tuple[int, Word, int | Fraction]]] = []
-            for block in blocks:
-                options = []
-                p = NCPoly.basis(block)
-                order = 0
-                while not p.is_zero():
-                    for u, c in p.terms.items():
-                        options.append((order, u, c))
-                    p = shift_down(p)
-                    order += 1
-                per_block.append(options)
-            for choice in itertools.product(*per_block):
-                left = tuple(j for j, _, _ in choice)
-                right = tuple(u for _, u, _ in choice)
-                coeff = 1
-                for _, _, c in choice:
-                    coeff *= c
-                add_term(rows, (left, right), coeff)
+    for k in range(len(w)):
+        for cuts in itertools.combinations(range(1, len(w)), k):
+            bounds = (0, *cuts, len(w))
+            tables = [
+                [(order, tuple(map(operator.sub, block, split)), multinomial(split))
+                 for order in range(sum(block) + 1) for split in _compositions(order, block)]
+                for block in (w[a:b] for a, b in zip(bounds, bounds[1:]))
+            ]
+            for choice in itertools.product(*tables):
+                left, right, weights = zip(*choice)
+                add_term(rows, (left, right), math.prod(weights))
     return rows
 
 

@@ -68,6 +68,10 @@ def test_cli_compose_and_brace():
     out = render_command(["brace", "[1,0]", "[1]"])
     assert out == "X1*X1 + X2*X0"
     assert render_command(["brace", "[1,0]"]) == "X1*X0"
+    # a zero argument: brace sums to zero, composition refuses it
+    assert render_command(["brace", "[1,0]", "X0 - X0"]) == "0"
+    with pytest.raises(ValueError, match="composition arguments must be nonzero"):
+        render_command(["compose", "[1,0]", "X0 - X0", "[0]"])
 
 
 def test_cli_coproducts_and_stats():

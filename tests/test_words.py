@@ -8,10 +8,11 @@ from mindex.selfcheck import _compose_lin
 from mindex.words import (
     ArityError,
     NCPoly,
+    _compositions,
+    _shift_power,
     block_permutation,
     brace,
     compose,
-    compose_multinomial,
     graded_dim,
     grading,
     pairing,
@@ -19,6 +20,7 @@ from mindex.words import (
     permute,
     shift_down,
     shift_up,
+    shift_up_power,
     word_coproduct,
 )
 
@@ -62,13 +64,90 @@ def test_compose_arity_error():
     assert exc.value.expected == 2 and exc.value.actual == 1
 
 
+def _iterated_compose(word, args):
+    return NCPoly.product(map(shift_up_power, args, word))
+
+
+def _same(got, want):
+    """Equal terms with the same coefficient types (``int`` when integral)."""
+    return got.terms == want.terms and all(
+        type(c) is type(want.terms[u]) for u, c in got.terms.items()
+    )
+
+
+def _random_ncpoly(rng):
+    """One to three words of one to three letters at most 2, coefficients
+    nonzero and possibly fractional, so terms can merge and cancel."""
+    p = NCPoly.zero()
+    for _ in range(rng.randint(1, 3)):
+        u = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3)))
+        p = p + NCPoly.basis(u, Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 1, 2])))
+    return p
+
+
 def test_compose_agrees_with_multinomial_form():
+    """``compose``, the closed multinomial form, against the iterated
+    one-step derivation, on word and polynomial arguments."""
     rng = random.Random(3)
     for _ in range(60):
         n = rng.randint(1, 3)
         word = tuple(rng.randint(0, 3) for _ in range(n))
-        args = [tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3))) for _ in range(n)]
-        assert compose(word, [w(a) for a in args]) == compose_multinomial(word, args)
+        args = [w(tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3)))) for _ in range(n)]
+        assert compose(word, args) == _iterated_compose(word, args)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        word = tuple(rng.randint(0, 4) for _ in range(n))
+        args = [_random_ncpoly(rng) for _ in range(n)]
+        if not all(args):
+            continue
+        assert _same(compose(word, args), _iterated_compose(word, args)), (
+            word,
+            [str(a) for a in args],
+        )
+
+
+def _shift_down_power(p, n):
+    for _ in range(n):
+        p = shift_down(p)
+    return p
+
+
+def test_shift_power_matches_iterated_derivation():
+    """Every word of at most 3 letters, each at most 3, for 0 <= n <= 5,
+    up and down, and polynomial arguments."""
+    words = [u for m in range(1, 4) for u in itertools.product(range(4), repeat=m)]
+    rng = random.Random(21)
+    polys = [_random_ncpoly(rng) for _ in range(25)]
+    for p in [w(u) for u in words] + polys:
+        for n in range(6):
+            assert _same(_shift_power(p, n), shift_up_power(p, n)), (str(p), n)
+            assert _same(_shift_power(p, -n), _shift_down_power(p, n)), (str(p), -n)
+    p = w((1, 0))
+    assert _shift_power(p, 0) is p
+
+
+def test_compositions_are_the_capped_tuples_in_order():
+    """The stars-and-bars enumeration is the filtered product, in the same
+    (lexicographic) order, with no tuple twice."""
+    for m in range(5):
+        for caps in itertools.product(range(4), repeat=m):
+            for total in range(9):
+                want = [
+                    k for k in itertools.product(*(range(c + 1) for c in caps)) if sum(k) == total
+                ]
+                assert list(_compositions(total, caps)) == want, (total, caps)
+    assert len(list(_compositions(30, (30,) * 5))) == 46376
+
+
+def test_compose_long_argument():
+    """1,500-letter arguments: nothing recurses per letter."""
+    arg = NCPoly.word((0,) * 1500)
+    got = compose((1,), [arg])
+    assert len(got.terms) == 1500
+    assert got == shift_up_power(arg, 1)
+    assert sum(1 for _ in _compositions(1, (1,) * 1500)) == 1500
+    tail = NCPoly.word((0,) * 1499 + (3,))
+    assert _shift_power(tail, -2) == shift_down(shift_down(tail)) == w((0,) * 1499 + (1,))
 
 
 def test_partial_compose():
@@ -98,16 +177,10 @@ def test_brace_single_argument_is_prelie():
         expected = NCPoly.zero()
         for k in range(len(word)):
             term = NCPoly.basis(word[:k])
-            term = term * _shift_pow(w(q), word[k])
+            term = term * shift_up_power(w(q), word[k])
             term = term * NCPoly.basis(word[k + 1 :])
             expected = expected + term
         assert brace(word, [w(q)]) == expected
-
-
-def _shift_pow(p, n):
-    for _ in range(n):
-        p = shift_up(p)
-    return p
 
 
 def test_graded_dim_table_row():
@@ -188,6 +261,16 @@ def test_equivariance_instance():
                 pi = block_permutation(sigma, lengths)
                 rhs = base.map_keys(lambda u: NCPoly.basis(permute(u, pi)))
                 assert lhs == rhs, (sigma, lengths)
+
+
+def test_permutations_are_checked():
+    assert permute((3, 4), [1, 0]) == (4, 3)
+    assert block_permutation([1, 0], [1, 2]) == (2, 0, 1)
+    for sigma in ([1, 1], [0], [0, 1, 2], [0, 2], [-1, 0]):
+        with pytest.raises(ValueError, match="permutation"):
+            permute((3, 4), sigma)
+        with pytest.raises(ValueError, match="permutation"):
+            block_permutation(sigma, [1, 1])
 
 
 def test_novikov_relations_displayed():
