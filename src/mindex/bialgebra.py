@@ -167,14 +167,14 @@ def _expand_rows(counts: dict, per_slot, mult: int) -> None:
     """Add the positive integer ``mult * prod c`` to the row of each choice
     of one ``(order, mono, c)`` per slot: the left block counts the orders,
     the right forest is the sorted tuple of the monomials."""
+    get = counts.get
     for choice in itertools.product(*per_slot):
-        coeff = mult
-        left = [0] * (max(order for order, _, _ in choice) + 1)
-        for order, _, c in choice:
+        orders, monos, cs = zip(*choice)
+        left = [0] * (max(orders) + 1)
+        for order in orders:
             left[order] += 1
-            coeff *= c
-        key = ((tuple(left),), tuple(sorted([mono for _, mono, _ in choice])))
-        counts[key] = counts.get(key, 0) + coeff
+        key = ((tuple(left),), tuple(sorted(monos)))
+        counts[key] = get(key, 0) + mult * math.prod(cs)
 
 
 def sub_coproduct_block_oracle(a: Alpha) -> STensor:
@@ -215,6 +215,9 @@ def _graft_coproduct_block(a: Alpha) -> STensor:
 
     D the down-shift, C(a, h) = a!/(h! (a - h)!) and E_k(g) the multisets
     of k parts of ``multiset_splits``, each counted by its set partitions.
+    The right forest fixes k = its number of blocks and h = a minus their
+    sum, so each row comes from one term of one D^k(x^h) and is written
+    once, a positive ``int``: nothing is summed, cancelled or normalised.
     """
     rows: dict = {
         ((forest_mono([a])), ()): 1,
@@ -225,12 +228,13 @@ def _graft_coproduct_block(a: Alpha) -> STensor:
             continue
         base = math.prod(map(math.comb, a, h))
         for k in range(1, alpha_len(g) + 1):
-            image = _shift_down_power_mono(h, k)
-            if image.is_zero():
+            image = _shift_down_power_mono(h, k).terms.items()
+            if not image:
                 break
             for right, count in multiset_splits(g, k):
-                for mono, c in image.terms.items():
-                    add_term(rows, ((mono,), right), base * count * c)
+                weight = base * count
+                for mono, c in image:
+                    rows[(mono,), right] = weight * c
     return STensor.adopt(rows)
 
 
@@ -293,13 +297,17 @@ def antipode(e: SElem) -> SElem:
 
 @lru_cache(maxsize=None)
 def _antipode_block(a: Alpha) -> SElem:
-    """The connected recursion on x^a, whose left factors are single blocks."""
+    """The connected recursion on x^a, whose left factors are single blocks.
+    Every coefficient is an ``int``, so the terms are summed in a plain dict;
+    the sums can cancel, and the exact zeros are dropped once at the end."""
     data: dict = {(a,): -1}
+    get = data.get
     for (left, right), c in _graft_coproduct_block(a).terms.items():
         if left and right:
             for s, cs in _antipode_block(left[0]).terms.items():
-                add_term(data, fm_mul(s, right), -c * cs)
-    return SElem.adopt(data)
+                key = fm_mul(s, right)
+                data[key] = get(key, 0) - c * cs
+    return SElem.adopt({key: c for key, c in data.items() if c})
 
 
 class Character:

@@ -180,11 +180,17 @@ class LinComb:
         return self.terms.get(key, 0)
 
     def map_keys(self, fn, target=None):
-        """Linear extension of a basis-key map ``key -> LinComb``."""
+        """Linear extension of a basis-key map ``key -> LinComb``.  On a basis
+        element, one key with coefficient 1, the image ``fn(key)`` is returned
+        itself when it is already of the target class: elements are
+        immutable, so it is shared, not copied."""
         cls = target if target is not None else type(self)
         data: dict = {}
         for key, coeff in self.terms.items():
-            for k2, c2 in fn(key).terms.items():
+            image = fn(key)
+            if coeff == 1 and type(image) is cls and len(self.terms) == 1:
+                return image
+            for k2, c2 in image.terms.items():
                 add_term(data, k2, coeff * c2)
         return cls.adopt(data)
 

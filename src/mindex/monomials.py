@@ -13,8 +13,9 @@ It also holds the splitting kernels.  ``multiset_splits`` counts the set
 partitions of a block's letters by multiset of k parts, in integers; the
 graft coproduct, the fixed-point invariant and ``mu`` all read it.
 ``ordered_splits`` walks the ordered splits as integer vectors, with an
-explicit stack; it serves the substitution coproduct, ``shuffle_splits``
-and the graft oracle.
+explicit stack, over the heads of each remainder that the memo ``_heads``
+lists once for all calls; it serves the substitution coproduct,
+``shuffle_splits`` and the graft oracle.
 """
 
 from __future__ import annotations
@@ -113,6 +114,22 @@ def _trimmed(exps: Alpha) -> Alpha:
     return exps[:n]
 
 
+@lru_cache(maxsize=None)
+def _heads(rest: Alpha) -> tuple:
+    """(letters, head, remainder, trimmed remainder, binomial product) of
+    every nonzero head of ``rest``, in ``itertools.product`` order: the
+    heads of one remainder, listed once and shared by every walk of
+    ``ordered_splits`` that reaches it."""
+    out = []
+    for head in itertools.product(*[range(e + 1) for e in rest]):
+        n = sum(head)
+        if n:
+            rem = tuple([r - h for r, h in zip(rest, head)])
+            b = math.prod(map(math.comb, rest, head))
+            out.append((n, _trimmed(head), rem, _trimmed(rem), b))
+    return tuple(out)
+
+
 def ordered_splits(a: Alpha, parts: int):
     """Ordered decompositions of ``a`` into ``parts`` nonzero summands,
     paired with the multinomial coefficient a!/(a_1!...a_k!), an ``int``.
@@ -121,36 +138,18 @@ def ordered_splits(a: Alpha, parts: int):
     order of each part over the remainder's exponent ranges.  The remainder
     is carried untrimmed, so a head divides it by construction and needs no
     check; the multinomial is carried down as a product of binomials
-    C(rest_i, head_i).  The heads of each remainder are listed once per
-    call, each trimmed once, with their letter count and binomial product."""
+    C(rest_i, head_i).  The heads of each remainder, each trimmed once with
+    its letter count and binomial product, are listed once by the memo
+    ``_heads`` and shared by every call that reaches that remainder."""
     if parts < 1 or sum(a) < parts:
         return
     if parts == 1:
         yield (a,), 1
         return
-    binom = [[math.comb(r, h) for h in range(r + 1)] for r in range(max(a) + 1)]
-    table: dict = {}
-
-    def heads(rest: Alpha) -> list:
-        """(letters, head, remainder, trimmed remainder, binomial product)
-        of every nonzero head of ``rest``, in product order."""
-        out = table.get(rest)
-        if out is None:
-            out = table[rest] = []
-            for head in itertools.product(*[range(e + 1) for e in rest]):
-                n = sum(head)
-                if n:
-                    rem = tuple([r - h for r, h in zip(rest, head)])
-                    b = 1
-                    for r, h in zip(rest, head):
-                        b *= binom[r][h]
-                    out.append((n, _trimmed(head), rem, _trimmed(rem), b))
-        return out
-
     prefix: list = []
     # one entry per open part: its heads still to try, the letters left
     # and the multinomial of the parts before it
-    stack = [(iter(heads(a)), sum(a), 1)]
+    stack = [(iter(_heads(a)), sum(a), 1)]
     while stack:
         entries, letters, mult = stack[-1]
         if len(stack) < parts - 1:
@@ -159,7 +158,7 @@ def ordered_splits(a: Alpha, parts: int):
             if entry is not None:
                 n, part, rem, _, b = entry
                 prefix.append(part)
-                stack.append((iter(heads(rem)), letters - n, mult * b))
+                stack.append((iter(_heads(rem)), letters - n, mult * b))
                 continue
         else:
             # the last two parts: every head but the whole remainder

@@ -35,9 +35,9 @@ from .monomials import (
     alpha_deg,
     alpha_len,
     alpha_sub,
-    submonomials,
     trim,
     unit_exp,
+    _trimmed,
 )
 
 _enc = attrgetter("enc")  # the canonical sort key, read in C
@@ -268,10 +268,19 @@ def _twm(a: Alpha) -> tuple[RootedTree, ...]:
 @lru_cache(maxsize=None)
 def _tree_divisors(rest: Alpha) -> tuple[tuple[Alpha, Alpha, int], ...]:
     """The divisors of x^rest that index trees (degree 0, not the unit), each
-    with its cofactor and the cofactor's length."""
-    return tuple(
-        (b, left, alpha_len(left)) for b, left in submonomials(rest) if b and alpha_deg(b) == 0
-    )
+    with its cofactor and the cofactor's length.  Degree 0 fixes the leaf
+    count b_0 = 1 + sum_(i>=1) (i - 1) b_i, so only b_1, b_2, ... are walked
+    and the divisors with b_0 > rest_0 are skipped."""
+    if not rest:
+        return ()
+    out = []
+    for tail in itertools.product(*[range(e + 1) for e in rest[1:]]):
+        b0 = 1 + sum(i * e for i, e in enumerate(tail[1:], 1))
+        if b0 <= rest[0]:
+            b = _trimmed((b0, *tail))
+            left = _trimmed((rest[0] - b0, *[r - t for r, t in zip(rest[1:], tail)]))
+            out.append((b, left, alpha_len(left)))
+    return tuple(out)
 
 
 def _child_multisets(rest: Alpha, r: int, low: RootedTree | None):

@@ -137,7 +137,13 @@ def _shift_power(p: NCPoly, n: int) -> NCPoly:
 
 
 def _as_ncpoly(arg) -> NCPoly:
-    return arg if isinstance(arg, NCPoly) else NCPoly.word(arg)
+    """A composition argument: a word polynomial, none of whose terms may be
+    the empty word ``()``, or the letters of one word."""
+    if not isinstance(arg, NCPoly):
+        return NCPoly.word(arg)
+    if () in arg.terms:
+        raise ValueError("composition arguments must not hold the empty word")
+    return arg
 
 
 def compose(w: Word, args: Sequence) -> NCPoly:

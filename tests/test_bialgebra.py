@@ -29,10 +29,11 @@ from mindex.bialgebra import (
     sub_coproduct_block_oracle,
     _antipode_block,
     _block_coproduct_fm,
+    _graft_coproduct_block,
 )
 from mindex.linear import antipode_law, coassociative, counital, graded
 from mindex.monomials import alpha_deg, alpha_len, alpha_weight
-from mindex.morphisms import poly_invariant
+from mindex.morphisms import antipode_via_mu, poly_invariant
 from mindex.parsing import parse_selem
 from mindex.selfcheck import alphas_up_to
 
@@ -135,6 +136,26 @@ def test_sub_kernel_matches_ordered_splits_oracle():
         kernel, oracle = sub_coproduct(block(a)), sub_coproduct_block_oracle(a)
         assert kernel == oracle, a
         assert all(type(c) is type(oracle.terms[k]) for k, c in kernel.terms.items()), a
+
+
+def test_forest_kernels_sum_integers():
+    """On every block of at most 6 letters with indices at most 3 the graft
+    kernel holds only positive ``int`` rows, one for each term of each
+    ``D^k(x^h) (x) E_k(a - h)`` and the two unit rows, and the antipode only
+    nonzero ``int`` terms, equal to the closed antipode through mu."""
+    for a in alphas_up_to(6, 3):
+        rows = _graft_coproduct_block(a).terms.values()
+        assert all(type(c) is int and c > 0 for c in rows), a
+        written = 2 + sum(
+            len(M.multiset_splits(g, k)) * len(M._shift_down_power_mono(h, k).terms)
+            for h, g in M.submonomials(a)
+            if h and g
+            for k in range(1, alpha_len(g) + 1)
+        )
+        assert len(rows) == written, a
+        s = antipode(block(a))
+        assert all(type(c) is int and c for c in s.terms.values()), a
+        assert s == antipode_via_mu(block(a)), a
 
 
 def test_forest_mono_rejects_untrimmed_and_negative_blocks():

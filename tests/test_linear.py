@@ -5,8 +5,18 @@ from pathlib import Path
 import pytest
 
 import mindex
-from mindex.bialgebra import SElem, antipode, graft_coproduct, sub_coproduct
+from mindex.bialgebra import (
+    SElem,
+    STensor,
+    antipode,
+    graft_coproduct,
+    sub_coproduct,
+    _antipode_block,
+    _graft_coproduct_block,
+    _sub_coproduct_block,
+)
 from mindex.exact import Poly
+from mindex.linear import LinComb
 from mindex.morphisms import mu_value
 from mindex.selfcheck import alphas_up_to, trees_up_to
 from mindex.trees import contract_coproduct, cut_coproduct
@@ -69,6 +79,42 @@ def test_coefficients_are_int_when_integral():
     assert type((p + Poly({1: Fraction(1, 2)})).coeff(1)) is int
     assert type((Poly({0: Fraction(1, 2)}) * Poly({0: 2})).coeff(0)) is int
     assert type(p.coeff(7)) is int and p.coeff(7) == 0
+
+
+def test_map_keys_shares_the_image_of_a_basis_element():
+    """On one key with coefficient 1, ``map_keys`` returns ``fn(key)`` itself
+    when it is of the target class; with another coefficient, several keys
+    or another target class it builds a new element, as a linear map."""
+    images = {1: Poly({0: 1, 2: Fraction(1, 2)}), 2: Poly({1: -3}), 3: Poly({0: -1})}
+    fn = images.__getitem__
+    assert Poly.basis(1).map_keys(fn) is images[1]
+    out = Poly.basis(1, 2).map_keys(fn)
+    assert out == 2 * images[1] and out is not images[1]
+    assert Poly.basis(1, Fraction(1, 2)).map_keys(fn) == images[1].scale(Fraction(1, 2))
+    assert Poly({1: 1, 3: 1}).map_keys(fn) == Poly({2: Fraction(1, 2)})
+    assert Poly({1: 1, 2: 2}).map_keys(fn) == images[1] + 2 * images[2]
+    other = Poly.basis(1).map_keys(fn, target=LinComb)
+    assert type(other) is LinComb and other.terms == images[1].terms
+    assert other.terms is not images[1].terms
+    assert Poly.zero().map_keys(fn) == Poly.zero()
+    assert images == {1: Poly({0: 1, 2: Fraction(1, 2)}), 2: Poly({1: -3}), 3: Poly({0: -1})}
+
+
+def test_shared_block_images_stay_unchanged():
+    """A basis block's coproducts and antipode are the cached block elements
+    themselves; scaling, negating, adding and multiplying them leaves the
+    cached terms as they were."""
+    for a in [(1,), (2, 1), (1, 1, 1), (3, 0, 1)]:
+        e = SElem.block(a)
+        cached = [_sub_coproduct_block(a), _graft_coproduct_block(a), _antipode_block(a)]
+        shared = [sub_coproduct(e), graft_coproduct(e), antipode(e)]
+        assert all(s is c for s, c in zip(shared, cached)), a
+        before = [dict(c.terms) for c in cached]
+        for s in shared:
+            s.scale(3), s.scale(0), -s, s + s, s - s, 2 * s, s * s
+        sub_coproduct(SElem.block(a, 2)) + graft_coproduct(e + SElem.block((0, 1)))
+        assert [c.terms for c in cached] == before, a
+        assert type(shared[0]) is STensor and type(shared[2]) is SElem
 
 
 def _stored(elem):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from mindex import words
+from mindex import monomials, words
 from mindex.bialgebra import forest_mono, format_fm
 from mindex.linear import add_term
 from mindex.monomials import (
@@ -259,24 +259,64 @@ def _weak_compositions(n: int, k: int):
             yield (first,) + rest
 
 
+def _slot_by_slot_splits(a, k) -> dict:
+    """The ordered splits of ``a`` into k parts by an independent
+    enumeration: deal each exponent a_i into k slots, drop the deals that
+    leave a slot with no letter, and take the multinomial as the product over
+    i of the multinomials of the deals of a_i."""
+    expected = {}
+    for deal in itertools.product(*(_weak_compositions(e, k) for e in a)):
+        slots = list(zip(*deal))
+        if all(map(any, slots)):
+            expected[tuple(map(trim, slots))] = math.prod(map(multinomial, deal))
+    return expected
+
+
 def test_ordered_splits_match_slot_by_slot_enumeration():
-    """The walk against an independent enumeration: deal each exponent a_i
-    into k slots, drop the deals that leave a slot with no letter, and take
-    the multinomial as the product over i of the multinomials of the deals
-    of a_i.  Same splits, multinomials and yield count, on every block and
-    part count."""
+    """The walk against the independent enumeration: same splits,
+    multinomials and yield count, on every block and part count."""
     for a in alphas_up_to(6, 3):
         for k in range(1, alpha_len(a) + 1):
-            expected = {}
-            for deal in itertools.product(*(_weak_compositions(e, k) for e in a)):
-                slots = list(zip(*deal))
-                if all(map(any, slots)):
-                    split = tuple(map(trim, slots))
-                    expected[split] = math.prod(map(multinomial, deal))
+            expected = _slot_by_slot_splits(a, k)
             walked = list(ordered_splits(a, k))
             assert len(walked) == len(expected), (a, k)
             assert dict(walked) == expected, (a, k)
             assert all(type(mult) is int for _, mult in walked), (a, k)
+
+
+def test_ordered_splits_share_one_head_table():
+    """The walks share the head table ``_heads`` of each remainder: cold,
+    with the walks of two blocks advanced in turn so that each reads entries
+    the other made, and warm, in the other order, every walk yields the
+    independent enumeration's splits in the walk's order (lexicographic in
+    the parts, padded to the block's length) with ``int`` multinomials."""
+    def padded(a, split):
+        return tuple(part + (0,) * (len(a) - len(part)) for part in split)
+
+    cases = [(a, k) for a in alphas_up_to(6, 3) for k in range(1, alpha_len(a) + 1)]
+    want = {
+        (a, k): sorted(_slot_by_slot_splits(a, k).items(), key=lambda kv: padded(a, kv[0]))
+        for a, k in cases
+    }
+
+    def check(a, k, walked):
+        assert walked == want[a, k], (a, k)
+        assert all(type(mult) is int for _, mult in walked), (a, k)
+
+    monomials._heads.cache_clear()
+    mid = len(cases) // 2
+    for pair in itertools.zip_longest(cases[:mid], cases[mid:][::-1]):
+        pair = [c for c in pair if c is not None]
+        walked = [[] for _ in pair]
+        for step in itertools.zip_longest(*(ordered_splits(a, k) for a, k in pair)):
+            for out, split in zip(walked, step):
+                if split is not None:
+                    out.append(split)
+        for (a, k), out in zip(pair, walked):
+            check(a, k, out)
+    assert monomials._heads.cache_info().hits > 0
+    for a, k in reversed(cases):
+        check(a, k, list(ordered_splits(a, k)))
 
 
 def test_ordered_splits_order():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -9,7 +10,7 @@ import pytest
 from mindex import trees
 from mindex.exact import Poly, binomial_poly, indefinite_sum
 from mindex.linear import coassociative, cointeraction, counital
-from mindex.monomials import alpha_factorial, alpha_len, alpha_weight
+from mindex.monomials import alpha_deg, alpha_factorial, alpha_len, alpha_weight, submonomials
 from mindex.morphisms import lift_coeff
 from mindex.parsing import parse_tree
 from mindex.selfcheck import trees_up_to
@@ -206,6 +207,26 @@ def test_trees_with_monomial_fixtures():
     assert set(trees_with_monomial((2, 1, 1))) == {T_A, T_B}
     assert trees_with_monomial((1, 3)) == (ladder(4),)
     assert trees_with_monomial((2, 1)) == ()
+
+
+def test_tree_divisors_are_the_degree_zero_divisors():
+    """The divisor table, which walks b_1, b_2, ... and fixes the leaf count
+    b_0, equals the filtered walk over all divisors as a set, on every
+    trimmed ``rest`` of at most 5 indices with exponents at most 3."""
+    count = 0
+    for n in range(6):
+        for rest in itertools.product(range(4), repeat=n):
+            if rest and not rest[-1]:
+                continue
+            want = {
+                (b, left, alpha_len(left))
+                for b, left in submonomials(rest)
+                if b and alpha_deg(b) == 0
+            }
+            got = trees._tree_divisors(rest)
+            assert len(got) == len(want) and set(got) == want, rest
+            count += bool(want)
+    assert count > 200
 
 
 def test_trees_with_monomial_vs_exhaustive():

@@ -168,6 +168,23 @@ def test_brace():
     assert brace((1, 0), [w((1,))] * 3).is_zero()
 
 
+def test_arguments_holding_the_empty_word_are_rejected():
+    """The empty word ``()`` is no word: an argument that holds it is
+    rejected by ``compose``, ``brace`` and ``partial_compose``, with other
+    terms beside it or not."""
+    one = NCPoly.one()
+    for bad in (one, w((0,)) + one, w((1, 0)) - 2 * one):
+        with pytest.raises(ValueError, match="empty word"):
+            compose((0,), [bad])
+        with pytest.raises(ValueError, match="empty word"):
+            compose((1, 0), [w((0,)), bad])
+        with pytest.raises(ValueError, match="empty word"):
+            brace((0, 1), [bad])
+        with pytest.raises(ValueError, match="empty word"):
+            partial_compose(w((1,)), 1, bad)
+    assert compose((1,), [w((0,)) + w((1,))]) == w((1,)) + w((2,))
+
+
 def test_brace_single_argument_is_prelie():
     rng = random.Random(5)
     for _ in range(20):
