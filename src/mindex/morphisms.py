@@ -10,7 +10,9 @@ from the iterated reduced coproduct of a block.  Its values at -1 give the
 character inverting the substitution counit, which in turn yields the
 closed antipode formula, computed block by block; it is the oracle of the
 block-wise recursion ``bialgebra.antipode``, which the CLI uses.
-``ds_solve`` expands the grafting fixed-point series of a coefficient sequence.
+``ds_solve`` expands the grafting fixed-point series of a coefficient
+sequence in one pass over the trees in size order, which reads each tree's
+coefficient and fertility monomial from its children's and walks no tree.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .trees import (
     TREE_SIDE,
     HCKElem,
     all_trees,
-    fertility_monomial,
     format_forest,
     plane_count,
     strict_order_poly_elem,
@@ -251,27 +252,41 @@ def ds_solve(coeffs: Sequence, max_vertices: int) -> DSSolution:
     children's coefficients.  With ``den`` the common denominator of the
     a_r, ``den^size`` times that is an integer, computed in one pass over
     ``all_trees`` in size order (children first), where each division by a
-    multiplicity's factorial is exact.
+    multiplicity's factorial is exact.  A tree's fertility counts are e_r
+    plus mult times each child's, read from the same table, which holds only
+    the trees with a nonzero coefficient: a tree with a child missing from
+    it is zero and is skipped without a walk.
     """
     if max_vertices < 1:
         raise ValueError("max_vertices must be >= 1")
     a = tuple(Fraction(c) for c in coeffs)
     den = math.lcm(*(c.denominator for c in a))
     nums = [c.numerator * (den // c.denominator) for c in a]
-    scaled: dict = {}  # enc -> den^size * coefficient
+    known: dict = {}  # enc -> (den^size * coefficient, fertility counts), nonzero only
     rows: dict[Alpha, dict] = {}  # distinct trees, so no key repeats
     for n in range(1, max_vertices + 1):
         den_n = den**n
         for t in all_trees(n):
             r = len(t.children)
-            v = nums[r] * math.factorial(r) if r < len(nums) else 0
+            if r >= len(nums) or not nums[r]:
+                continue
+            v = nums[r] * math.factorial(r)
+            counts = [0] * n  # no vertex has more than n - 1 children
+            counts[r] = 1
             for child, mult in t.child_multiplicities():
-                if not v:
+                got = known.get(child.enc)
+                if got is None:  # a child with coefficient zero
                     break
-                v = v * scaled[child.enc] ** mult // math.factorial(mult)
-            scaled[t.enc] = v
-            if v:
-                add_term(rows.setdefault(fertility_monomial(t), {}), (t,), Fraction(v, den_n))
+                cv, child_counts = got
+                v = v * cv**mult // math.factorial(mult)
+                for i, e in enumerate(child_counts):
+                    counts[i] += mult * e
+            else:
+                while not counts[-1]:  # stops at the leaves' count
+                    counts.pop()
+                mono = tuple(counts)
+                known[t.enc] = (v, mono)
+                add_term(rows.setdefault(mono, {}), (t,), Fraction(v, den_n))
     entries = {key: HCKElem.adopt(terms) for key, terms in rows.items()}
     return DSSolution(coeffs=a, max_vertices=max_vertices, entries=entries)
 

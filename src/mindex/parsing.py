@@ -10,12 +10,15 @@ Grammars:
   tree forest B[] | ladder:3
   polynomial  1/6*X^3 - 1/2*X^2 + 1/3*X
 
-Each ``parse_*`` function reads the whole text by one rule.  Printing is
-handled by the classes themselves; parse(print(v)) == v.
+Each ``parse_*`` function reads the whole text by one rule.  The tree rule
+reads each token with one match of a compiled pattern and leaves every
+error to the scanner's ``expect``, which reports it as the other rules do.
+Printing is handled by the classes themselves; parse(print(v)) == v.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 
@@ -217,26 +220,49 @@ def parse_selem(text: str) -> SElem:
 # -- trees ---------------------------------------------------------------------
 
 
+_TREE_TOKEN = re.compile(
+    r"\s*(?:(?P<leaf>B\[\s*\])|(?P<open>B\[)|(?P<close>\])|(?P<comma>,)"
+    r"|(?P<ladder>ladder:)|(?P<corolla>corolla:))"
+)
+_SHORTHANDS = {"ladder": ladder, "corolla": corolla}
+
+
 def _tree(sc: _Scanner) -> RootedTree:
+    """Each token is one match of ``_TREE_TOKEN`` at ``pos``, named by its
+    group; where none fits, the scanner's ``expect`` reports the error."""
+    text, token = sc.text, _TREE_TOKEN.match
+    pos = sc.pos
     open_lists: list[list[RootedTree]] = []  # children of each open "B["
     while True:
-        if sc.match("ladder:"):
-            t = ladder(sc.integer(least=1))
-        elif sc.match("corolla:"):
-            t = corolla(sc.integer(least=1))
-        else:
+        m = token(text, pos)
+        kind = m and m.lastgroup
+        if kind == "open":
+            open_lists.append([])
+            pos = m.end()
+            continue
+        if kind == "leaf":
+            t, pos = LEAF, m.end()
+        elif kind in _SHORTHANDS:
+            sc.pos = m.end()
+            t = _SHORTHANDS[kind](sc.integer(least=1))
+            pos = sc.pos
+        else:  # no tree starts here, so this raises
+            sc.pos = pos
             sc.expect("B[")
-            if not sc.match("]"):
-                open_lists.append([])
-                continue
-            t = LEAF
         while open_lists:  # t is complete: add it, then close what ends here
             open_lists[-1].append(t)
-            if sc.match(","):
+            m = token(text, pos)
+            kind = m and m.lastgroup
+            if kind == "comma":
+                pos = m.end()
                 break
-            sc.expect("]")
+            if kind != "close":  # so this raises
+                sc.pos = pos
+                sc.expect("]")
+            pos = m.end()
             t = RootedTree(open_lists.pop())
         else:  # nothing left open: t is the whole tree
+            sc.pos = pos
             return t
 
 

@@ -4,7 +4,9 @@ A tree is a multiset of child subtrees; the canonical form stores children
 sorted by their nested-tuple encodings, so structural equality is encoding
 equality.  Forests are sorted tuples of trees, the empty forest being the
 unit.  Statistics, printing and the contraction kernel walk the vertices
-on an explicit stack (``_vertices``), so they work at any depth; a miss
+on an explicit stack (``_vertices``), so they work at any depth;
+``tree_stats`` takes all three statistics in one such walk, with factorial
+work only at vertices of two or more children; a miss
 in the cut coproduct's or the order polynomial's per-tree memo fills the
 memo for every missing subtree in one pass, children before parents, so no
 call nests inside another at any depth; only the oracles recurse once per
@@ -41,6 +43,7 @@ from .monomials import (
 )
 
 _enc = attrgetter("enc")  # the canonical sort key, read in C
+_size = attrgetter("size")
 
 
 class RootedTree:
@@ -51,8 +54,8 @@ class RootedTree:
     def __init__(self, children: Iterable["RootedTree"] = ()):
         kids = tuple(sorted(children, key=_enc))
         self.children = kids
-        self.enc = tuple(t.enc for t in kids)
-        self.size = 1 + sum(t.size for t in kids)
+        self.enc = tuple(map(_enc, kids))
+        self.size = 1 + sum(map(_size, kids))
 
     def __eq__(self, other):
         return isinstance(other, RootedTree) and self.enc == other.enc
@@ -177,39 +180,48 @@ def _vertices(t: RootedTree):
         stack.extend(node.children)
 
 
+def tree_stats(t: RootedTree) -> tuple[int, int, Alpha]:
+    """(symmetry factor, plane embedding count, fertility monomial) in one
+    walk.  A vertex with r >= 2 children, sorted by ``enc`` so that equal
+    ones are adjacent, adds d = prod mult! over its runs of equal children
+    to the symmetry factor and r!/d to the plane count; the others add
+    nothing to either."""
+    sym = plane = 1
+    counts = [0] * t.size  # no vertex has more than size - 1 children
+    for node in _vertices(t):
+        kids = node.children
+        r = len(kids)
+        counts[r] += 1
+        if r > 1:
+            d = run = 1
+            prev = kids[0].enc
+            for kid in kids[1:]:
+                enc = kid.enc
+                if enc == prev:
+                    run += 1
+                    d *= run
+                else:
+                    run, prev = 1, enc
+            sym *= d
+            plane *= math.factorial(r) // d
+    while not counts[-1]:  # stops at the leaves' count
+        counts.pop()
+    return sym, plane, tuple(counts)
+
+
 def symmetry_factor(t: RootedTree) -> int:
     """Order of the automorphism group: Π mult! over the child classes of each vertex."""
-    v = 1
-    for node in _vertices(t):
-        for _, mult in node.child_multiplicities():
-            v *= math.factorial(mult)
-    return v
+    return tree_stats(t)[0]
 
 
 def plane_count(t: RootedTree) -> int:
     """Number of plane embeddings: each vertex's child orderings up to repeats."""
-    v = 1
-    for node in _vertices(t):
-        w = math.factorial(len(node.children))
-        for _, mult in node.child_multiplicities():
-            w //= math.factorial(mult)
-        v *= w
-    return v
+    return tree_stats(t)[1]
 
 
 def fertility_monomial(t: RootedTree) -> Alpha:
     """Exponent vector counting vertices by fertility."""
-    counts = [0] * t.size  # no vertex has more than size - 1 children
-    for node in _vertices(t):
-        counts[len(node.children)] += 1
-    while not counts[-1]:  # stops at the leaves' count
-        counts.pop()
-    return tuple(counts)
-
-
-def tree_stats(t: RootedTree) -> tuple[int, int, Alpha]:
-    """(symmetry factor, plane embedding count, fertility monomial)."""
-    return symmetry_factor(t), plane_count(t), fertility_monomial(t)
+    return tree_stats(t)[2]
 
 
 # -- enumeration ----------------------------------------------------------

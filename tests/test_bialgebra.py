@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -156,6 +157,62 @@ def test_forest_kernels_sum_integers():
         s = antipode(block(a))
         assert all(type(c) is int and c for c in s.terms.values()), a
         assert s == antipode_via_mu(block(a)), a
+
+
+def _antipode_closed(a):
+    """The cancellation-free formula for the antipode of one block,
+
+        S(x^a) = sum_m (-1)^m sum_{(parts, count) in E_m(a)} count
+                 sum_{c in N^m, |c| = m - 1} (m - 1)!/(c_1! ... c_m!)
+                 prod_j D^{c_j}(x^{p_j}),
+
+    E_m the multiset splits counted by their set partitions and D the
+    down-shift: a sum over the set partitions of the letters into m blocks
+    and over the rooted trees on those blocks, block j with c_j children.
+    The sum over c is folded part by part: with s the children given out so
+    far, part j's c_j adds the weight C(s + c_j, c_j).  Every weight, count
+    and down-shift coefficient is positive, so a split's terms all have the
+    sign (-1)^m.  Returns the sum and the set of (sign, number of blocks)
+    over the terms of every split."""
+    data, signs = {}, set()
+    for m in range(1, alpha_len(a) + 1):
+        for parts, count in M.multiset_splits(a, m):
+            # children given out so far -> forest -> weighted coefficient
+            state = {0: {(): (-1) ** m * count}}
+            for p in parts:
+                nxt = {}
+                for s, terms in state.items():
+                    for k in range(m - s):
+                        image = M._shift_down_power_mono(p, k).terms
+                        if not image:
+                            break
+                        row = nxt.setdefault(s + k, {})
+                        w = math.comb(s + k, k)
+                        for f, c in terms.items():
+                            for mono, v in image.items():
+                                key = fm_mul(f, (mono,))
+                                row[key] = row.get(key, 0) + w * c * v
+                state = nxt
+            for key, value in state.get(m - 1, {}).items():
+                signs.add((value > 0, len(key)))
+                data[key] = data.get(key, 0) + value
+    return SElem.adopt({k: v for k, v in data.items() if v}), signs
+
+
+def test_antipode_matches_cancellation_free_formula():
+    """The block recursion, which sums terms of both signs, equals the
+    closed formula over set partitions and rooted trees on every block of at
+    most 6 letters with indices at most 3; the terms of each split in the
+    formula, and so the terms of the antipode, have sign (-1)^(number of
+    blocks)."""
+    blocks = list(alphas_up_to(6, 3))
+    assert len(blocks) == 209
+    for a in blocks:
+        closed, signs = _antipode_closed(a)
+        assert all(positive == (n % 2 == 0) for positive, n in signs), a
+        s = antipode(block(a))
+        assert s == closed, a
+        assert all((c > 0) == (len(f) % 2 == 0) for f, c in s.terms.items()), a
 
 
 def test_forest_mono_rejects_untrimmed_and_negative_blocks():

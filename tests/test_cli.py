@@ -1,12 +1,15 @@
 import json
 import math
 import random
+import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from mindex import parsing
 from mindex.cli import build_parser, factored_form, main, render_command
 from mindex.exact import Poly, indefinite_sum
 from mindex.parsing import (
@@ -20,7 +23,8 @@ from mindex.parsing import (
     parse_tree_forest,
     parse_word,
 )
-from mindex.selfcheck import law_rota_baxter, run_selfcheck
+from mindex.selfcheck import law_rota_baxter, run_selfcheck, trees_up_to
+from mindex.trees import LEAF, RootedTree, corolla, forest, ladder
 
 
 def test_word_roundtrip():
@@ -52,6 +56,89 @@ def test_parse_selem_and_trees():
     assert parse_tree("corolla:3") == parse_tree("B[B[],B[]]")
     f = parse_tree_forest("B[] | ladder:2 | corolla:3")
     assert len(f) == 3
+
+
+def _scanner_tree(sc):
+    """The tree rule written with the scanner's calls alone, one
+    ``match``/``expect`` per token: the oracle of ``parsing._tree``."""
+    open_lists = []  # children of each open "B["
+    while True:
+        if sc.match("ladder:"):
+            t = ladder(sc.integer(least=1))
+        elif sc.match("corolla:"):
+            t = corolla(sc.integer(least=1))
+        else:
+            sc.expect("B[")
+            if not sc.match("]"):
+                open_lists.append([])
+                continue
+            t = LEAF
+        while open_lists:  # t is complete: add it, then close what ends here
+            open_lists[-1].append(t)
+            if sc.match(","):
+                break
+            sc.expect("]")
+            t = RootedTree(open_lists.pop())
+        else:  # nothing left open: t is the whole tree
+            return t
+
+
+def _outcome(parse, text):
+    """What ``parse`` makes of ``text``: the tree's or forest's encoding, or
+    the error with its position, expected text and message."""
+    try:
+        out = parse(text)
+    except ParseError as exc:
+        return ("error", exc.pos, exc.expected, str(exc))
+    return ("ok", out.enc if isinstance(out, RootedTree) else tuple(t.enc for t in out))
+
+
+TREE_TOKENS = re.compile(r"B\[|\]|,|ladder:|corolla:|\d+|\||\s+|.")
+MUTANTS = ["B[", "]", ",", "ladder:", "corolla:", "0", "1", "3", "12", "|", " ", "\t", "\x1c", "B", "[", "x", ":"]
+
+
+def test_tree_token_rule_matches_scanner_rule():
+    """Every printed tree of at most 7 vertices and the shorthands, with
+    whitespace put between tokens, as trees and as forests, and 12,000
+    mutations of them (a token inserted, deleted or replaced, from a fixed
+    seed) give the same tree or the same ``ParseError`` from the token rule
+    as from the scanner rule."""
+    rng = random.Random(23)
+    spaces = [" ", "\t", "\x1c", " \t"]
+    bases = [str(t) for t in trees_up_to(7)]
+    bases += [f"{kind}:{n}" for kind in ("ladder", "corolla") for n in range(1, 5)]
+    bases += [f"B[{x},ladder:2]" for x in ("corolla:3", "B[]", "ladder:1")]
+    texts = []
+    for text in bases:
+        tokens = TREE_TOKENS.findall(text)
+        texts += [text, " ".join(tokens), "\t".join(tokens) + "\x1c"]
+        texts.append("".join(tok + rng.choice(["", ""] + spaces) for tok in tokens))
+    texts += [" | ".join(rng.sample(bases, 3)) for _ in range(50)]
+    shapes = len(texts)
+    for _ in range(12_000):
+        tokens = TREE_TOKENS.findall(rng.choice(texts[:shapes]))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(tokens) + 1)
+            op = rng.randrange(3)
+            if op == 0:
+                tokens.insert(i, rng.choice(MUTANTS))
+            elif i < len(tokens):
+                tokens[i : i + 1] = [rng.choice(MUTANTS)] if op == 1 else []
+        texts.append("".join(tokens))
+
+    def scanner_tree(text):
+        return parsing._whole(text, _scanner_tree)
+
+    def scanner_forest(text):
+        return parsing._whole(text, lambda sc: forest(parsing._bars(sc, _scanner_tree)))
+
+    kinds = Counter()
+    for text in texts:
+        for new, old in ((parse_tree, scanner_tree), (parse_tree_forest, scanner_forest)):
+            want = _outcome(old, text)
+            assert _outcome(new, text) == want, text
+            kinds[want[0]] += 1
+    assert kinds["ok"] > 3000 and kinds["error"] > 20000, kinds
 
 
 def test_cli_fixture_outputs():

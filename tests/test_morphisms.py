@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from mindex import morphisms, trees
 from mindex.bialgebra import (
     FOREST_SIDE,
     SElem,
@@ -319,18 +320,18 @@ def _ds_reference(coeffs, max_vertices):
     return rows
 
 
-@pytest.mark.parametrize(
-    "coeffs",
-    [
-        [1, -1, 0, Fraction(1, 7), Fraction(1, 3)],
-        [Fraction(-2, 3), 0, Fraction(5, 7), -4],
-        [2, Fraction(-1, 3), Fraction(1, 21), 0, Fraction(7, 9)],
-        [1, 1, Fraction(1, 2), Fraction(1, 6)],
-        [Fraction(3, 7)],
-        [0, 1],
-        [],
-    ],
-)
+DS_COEFFS = [
+    [1, -1, 0, Fraction(1, 7), Fraction(1, 3)],
+    [Fraction(-2, 3), 0, Fraction(5, 7), -4],
+    [2, Fraction(-1, 3), Fraction(1, 21), 0, Fraction(7, 9)],
+    [1, 1, Fraction(1, 2), Fraction(1, 6)],
+    [Fraction(3, 7)],
+    [0, 1],
+    [],
+]
+
+
+@pytest.mark.parametrize("coeffs", DS_COEFFS)
 def test_ds_integer_pass_matches_fraction_recursion(coeffs):
     for max_vertices in range(1, 10):
         sol = ds_solve(coeffs, max_vertices)
@@ -342,6 +343,29 @@ def test_ds_integer_pass_matches_fraction_recursion(coeffs):
             assert list(elem.terms.items()) == list(want[a].items()), (max_vertices, a)
             for c in elem.terms.values():
                 assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+def test_ds_reads_fertility_from_the_children(monkeypatch):
+    """Design pin: ``ds_solve`` takes each tree's fertility monomial from its
+    children's, so it walks no tree; with ``fertility_monomial`` made to
+    raise, in ``trees`` and wherever ``morphisms`` might import it, every
+    expansion still equals the reference."""
+    wants = {
+        (i, n): _ds_reference(coeffs, n)
+        for i, coeffs in enumerate(DS_COEFFS)
+        for n in range(1, 10)
+    }
+
+    def boom(t):
+        raise AssertionError("fertility_monomial walked a tree")
+
+    monkeypatch.setattr(trees, "fertility_monomial", boom)
+    monkeypatch.setattr(morphisms, "fertility_monomial", boom, raising=False)
+    for (i, n), want in wants.items():
+        entries = ds_solve(DS_COEFFS[i], n).entries
+        assert list(entries) == list(want), (i, n)
+        for a, elem in entries.items():
+            assert list(elem.terms.items()) == list(want[a].items()), (i, n, a)
 
 
 def test_lift_is_double_morphism():

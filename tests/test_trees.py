@@ -91,9 +91,12 @@ def _plane_reference(t):
 
 
 def test_walk_stats_match_recursive_reference():
+    """The one walk behind ``tree_stats`` and the three functions that read
+    it, against the recursive definitions and the counter of child counts."""
     for t in trees_up_to(10):
-        assert symmetry_factor(t) == _symmetry_reference(t), t
-        assert plane_count(t) == _plane_reference(t), t
+        want = (_symmetry_reference(t), _plane_reference(t), _fertility_reference(t))
+        assert tree_stats(t) == want, t
+        assert (symmetry_factor(t), plane_count(t), fertility_monomial(t)) == want, t
 
 
 def test_deep_trees_print_and_parse():
