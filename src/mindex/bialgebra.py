@@ -10,8 +10,9 @@ coproducts live here:
   splits a block into parts, down-shifts each part and records the shift
   orders on the left, with a 1/beta! normalization.  The kernel reads the
   ordered splits but folds them by their multiset of parts, so each
-  multiset is expanded once; the expansion per ordered split is kept as
-  ``sub_coproduct_block_oracle``;
+  multiset is expanded once, from per-part tables of down-shift terms and
+  a table of left blocks that every call shares; the expansion per
+  ordered split is kept as ``sub_coproduct_block_oracle``;
 * ``graft_coproduct`` (Hopf type, dual to the grafting product): splits a
   block x^a into a head x^h, k-fold down-shifted on the left, and a multiset
   of k nonzero parts bar-multiplied on the right.  The kernel sums over
@@ -24,8 +25,12 @@ Both extend multiplicatively to forests and make the space a double
 bialgebra, described to the law kit of ``linear`` by ``FOREST_SIDE``; the
 kit's ``cointeraction`` checks the defining identity in ``cointeraction_holds``.
 ``antipode`` is the antipode of the Hopf coproduct, the product over a
-forest's blocks of each block's connected recursion; the CLI uses it, and
-the law suites check it against the closed formula ``morphisms.antipode_via_mu``.
+forest's blocks of each block's connected recursion.  The recursion reads
+the graft rows' exponential formula, not the rows: it sums, over heads h
+and part counts k, one memoised S(D^k(x^h)) times each multiset of parts,
+so each block's graft coproduct is built only where a caller asks for it.
+The CLI uses it, and the law suites check it against the closed formula
+``morphisms.antipode_via_mu``.
 """
 
 from __future__ import annotations
@@ -136,15 +141,15 @@ def _sub_coproduct_block(a: Alpha) -> STensor:
     A split's rows do not depend on the order of its parts: the left block
     counts orders, the right forest is sorted and the coefficient is a
     product.  So every ordered split is read, its multinomial summed on its
-    multiset of parts, and each multiset expanded once; each distinct part's
-    terms are tabulated once per call.  A multiset of k parts r_j with
-    multiplicities m has k!/prod m! orderings of multinomial a!/prod r_j!,
-    so their sum over k! is exact: the set partitions ``multiset_splits``
-    counts.  All rows are summed as integers in one dict; the left block
-    has k letters, so rows of different k never meet.  The expansion per
-    ordered split is kept as ``sub_coproduct_block_oracle``.
+    multiset of parts, and each multiset expanded once, from each part's
+    terms as ``_part_table`` lists them once for every call.  A multiset of
+    k parts r_j with multiplicities m has k!/prod m! orderings of
+    multinomial a!/prod r_j!, so their sum over k! is exact: the set
+    partitions ``multiset_splits`` counts.  All rows are summed as integers
+    in one dict; the left block has k letters, so rows of different k never
+    meet.  The expansion per ordered split is kept as
+    ``sub_coproduct_block_oracle``.
     """
-    tables: dict = {}
     rows: dict = {}
     for k in range(1, alpha_len(a) + 1):
         folded: dict = {}
@@ -152,28 +157,40 @@ def _sub_coproduct_block(a: Alpha) -> STensor:
             parts = tuple(sorted(split))
             folded[parts] = folded.get(parts, 0) + mult
         for parts, mult in folded.items():
-            for part in parts:
-                if part not in tables:
-                    tables[part] = [
-                        (order, mono, c)
-                        for order in range(alpha_weight(part) + 1)
-                        for mono, c in _shift_down_power_mono(part, order).terms.items()
-                    ]
-            _expand_rows(rows, [tables[part] for part in parts], mult // math.factorial(k))
+            _expand_rows(rows, map(_part_table, parts), mult // math.factorial(k))
     return STensor.adopt(rows)
+
+
+@lru_cache(maxsize=None)
+def _part_table(part: Alpha) -> tuple:
+    """``(order, mono, c)`` for each term c x^mono of each D^order(x^part),
+    order 0 up to the weight of the part, the last nonzero power."""
+    return tuple(
+        (order, mono, c)
+        for order in range(alpha_weight(part) + 1)
+        for mono, c in _shift_down_power_mono(part, order).terms.items()
+    )
+
+
+@lru_cache(maxsize=None)
+def _order_block(orders: tuple) -> ForestMono:
+    """The left factor of a substitution row: the single block whose i-th
+    exponent counts the parts of shift order i."""
+    left = [0] * (max(orders) + 1)
+    for order in orders:
+        left[order] += 1
+    return (tuple(left),)
 
 
 def _expand_rows(counts: dict, per_slot, mult: int) -> None:
     """Add the positive integer ``mult * prod c`` to the row of each choice
     of one ``(order, mono, c)`` per slot: the left block counts the orders,
-    the right forest is the sorted tuple of the monomials."""
+    read from ``_order_block``, the right forest is the sorted tuple of the
+    monomials."""
     get = counts.get
     for choice in itertools.product(*per_slot):
         orders, monos, cs = zip(*choice)
-        left = [0] * (max(orders) + 1)
-        for order in orders:
-            left[order] += 1
-        key = ((tuple(left),), tuple(sorted(monos)))
+        key = (_order_block(orders), tuple(sorted(monos)))
         counts[key] = get(key, 0) + mult * math.prod(cs)
 
 
@@ -297,17 +314,46 @@ def antipode(e: SElem) -> SElem:
 
 @lru_cache(maxsize=None)
 def _antipode_block(a: Alpha) -> SElem:
-    """The connected recursion on x^a, whose left factors are single blocks.
-    Every coefficient is an ``int``, so the terms are summed in a plain dict;
-    the sums can cancel, and the exact zeros are dropped once at the end."""
+    """The connected recursion on x^a, grouped by the graft rows' heads:
+
+        S(x^a) = -x^a - sum_{0 != h < a} sum_{k >= 1} C(a, h) S(D^k(x^h)) E_k(a - h),
+
+    a row's right forest fixing h and k as in ``_graft_coproduct_block``,
+    whose rows are not built; D^k(x^h) is zero once k passes the weight of
+    h.  ``_antipode_down`` holds each S(D^k(x^h)), summed once for every
+    block that reads it, and every split of E_k multiplies it once.  Every
+    coefficient is an ``int``, so the terms are summed in a plain dict; the
+    sums can cancel, and the exact zeros are dropped once at the end."""
     data: dict = {(a,): -1}
     get = data.get
-    for (left, right), c in _graft_coproduct_block(a).terms.items():
-        if left and right:
-            for s, cs in _antipode_block(left[0]).terms.items():
-                key = fm_mul(s, right)
-                data[key] = get(key, 0) - c * cs
+    for h, g in submonomials(a):
+        if not h or not g:
+            continue
+        base = math.prod(map(math.comb, a, h))
+        for k in range(1, min(alpha_len(g), alpha_weight(h)) + 1):
+            down = _antipode_down(h, k)
+            for right, count in multiset_splits(g, k):
+                weight = base * count
+                for s, cs in down:
+                    # fm_mul of two nonempty forests
+                    key = tuple(sorted(s + right))
+                    data[key] = get(key, 0) - weight * cs
     return SElem.adopt({key: c for key, c in data.items() if c})
+
+
+@lru_cache(maxsize=None)
+def _antipode_down(h: Alpha, k: int) -> tuple:
+    """S(D^k(x^h)) as ``(forest, int)`` pairs: the sum of c S(x^mono) over
+    the terms c x^mono of the down-shift, each a block of fewer letters
+    than any block that reads it.  Every c is positive and every term of
+    an antipode on a forest of m blocks has the sign (-1)^m, so no sum is
+    zero."""
+    data: dict = {}
+    get = data.get
+    for mono, c in _shift_down_power_mono(h, k).terms.items():
+        for s, cs in _antipode_block(mono).terms.items():
+            data[s] = get(s, 0) + c * cs
+    return tuple(data.items())
 
 
 class Character:

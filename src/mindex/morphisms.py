@@ -204,13 +204,16 @@ def antipode_via_mu(e: SElem) -> SElem:
 
 
 def _antipode_via_mu_block(a: Alpha) -> SElem:
-    """``(mu x id) delta`` of the single block x^a."""
+    """``(mu x id) delta`` of the single block x^a.  The rows and the values
+    of mu are ``int``s, so the terms are summed in a plain dict; the sums can
+    cancel, and the exact zeros are dropped once at the end."""
     data: dict = {}
+    get = data.get
     for (left, right), c in _sub_coproduct_block(a).terms.items():
         v = mu_character.forest(left)
         if v:
-            add_term(data, right, c * v)
-    return SElem.adopt(data)
+            data[right] = get(right, 0) + c * v
+    return SElem.adopt({key: c for key, c in data.items() if c})
 
 
 # -- Dyson-Schwinger expansion ----------------------------------------------

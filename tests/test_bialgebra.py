@@ -29,6 +29,7 @@ from mindex.bialgebra import (
     sub_coproduct,
     sub_coproduct_block_oracle,
     _antipode_block,
+    _antipode_down,
     _block_coproduct_fm,
     _graft_coproduct_block,
 )
@@ -202,17 +203,48 @@ def _antipode_closed(a):
 def test_antipode_matches_cancellation_free_formula():
     """The block recursion, which sums terms of both signs, equals the
     closed formula over set partitions and rooted trees on every block of at
-    most 6 letters with indices at most 3; the terms of each split in the
-    formula, and so the terms of the antipode, have sign (-1)^(number of
-    blocks)."""
+    most 6 letters with indices at most 3, of 7 letters with indices at most
+    2 and of 8 letters with indices at most 1, the largest blocks the
+    benchmark's forest workload runs; every coefficient is an ``int``, and
+    the terms of each split in the formula, and so the terms of the
+    antipode, have sign (-1)^(number of blocks)."""
     blocks = list(alphas_up_to(6, 3))
     assert len(blocks) == 209
+    blocks += [a for a in alphas_up_to(7, 2) if alpha_len(a) == 7]
+    blocks += [a for a in alphas_up_to(8, 1) if alpha_len(a) == 8]
+    assert len(blocks) == 209 + 36 + 9
     for a in blocks:
         closed, signs = _antipode_closed(a)
         assert all(positive == (n % 2 == 0) for positive, n in signs), a
         s = antipode(block(a))
         assert s == closed, a
+        assert all(type(c) is int for c in s.terms.values()), a
         assert all((c > 0) == (len(f) % 2 == 0) for f, c in s.terms.items()), a
+
+
+def test_antipode_down_sums_the_antipodes_of_a_down_shift():
+    """For every block of at most 5 letters with indices at most 3 and every
+    (h, k) its recursion reads, ``_antipode_down(h, k)`` is the sum of
+    c S(x^mono) over the terms c x^mono of D^k(x^h), no pair zero; and the
+    recursion builds no graft block."""
+    read = set()
+    for a in alphas_up_to(5, 3):
+        for h, g in M.submonomials(a):
+            if h and g:
+                read.update((h, k) for k in range(1, min(alpha_len(g), alpha_weight(h)) + 1))
+    assert len(read) == 100
+    for h, k in read:
+        down = _antipode_down(h, k)
+        assert all(c for _, c in down), (h, k)
+        expected = SElem()
+        for mono, c in M._shift_down_power_mono(h, k).terms.items():
+            expected += antipode(block(mono)).scale(c)
+        assert SElem(down) == expected, (h, k)
+    _graft_coproduct_block.cache_clear()
+    _antipode_block.cache_clear()
+    _antipode_down.cache_clear()
+    antipode(block((4, 2, 1, 1)))
+    assert _graft_coproduct_block.cache_info().currsize == 0
 
 
 def test_forest_mono_rejects_untrimmed_and_negative_blocks():
