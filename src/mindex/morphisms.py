@@ -12,7 +12,8 @@ closed antipode formula, computed block by block; it is the oracle of the
 block-wise recursion ``bialgebra.antipode``, which the CLI uses.
 ``ds_solve`` expands the grafting fixed-point series of a coefficient
 sequence in one pass over the trees in size order, which reads each tree's
-coefficient and fertility monomial from its children's and walks no tree.
+coefficient and fertility monomial from its children's, found by identity
+in the shared lists of ``all_trees``, and walks no tree.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .bialgebra import (
     ForestMono,
     SElem,
     X0,
-    _graft_coproduct_block,
     _sub_coproduct_block,
     forest_mono,
 )
@@ -41,10 +41,12 @@ from .monomials import (
     alpha_factorial,
     alpha_key,
     alpha_sub,
+    alpha_weight,
     format_alpha,
     multiset_splits,
     trim,
     unit_exp,
+    _shift_down_power_mono,
 )
 from .trees import (
     TREE_SIDE,
@@ -134,16 +136,23 @@ def _invariant_fixed_point(a: Alpha) -> tuple[int, ...]:
 
 def _invariant_direct(a: Alpha) -> Poly:
     """Iterated-coproduct formula: the counit words of step k weigh binom(X, k).
-    A block coproduct's left factors are blocks, so the state counts blocks."""
+    A block coproduct's left factors are blocks, so the state counts blocks,
+    and only the rows whose right forest is k copies of x_0 feed the next
+    step.  In the exponential formula of ``_graft_coproduct_block`` those
+    are the rows of h = b - k e_0: C(b_0, k) D^k(x^h), for 1 <= k <= b_0,
+    nonzero while k is at most h's weight, which is b's.  So each step reads
+    the down-shift powers of its blocks, and no block coproduct is built."""
     state: dict[Alpha, int] = {a: 1}
     hits = [0]
     while state:
         hits.append(state.get(X0, 0))
         nxt: dict[Alpha, int] = {}
         for b, c in state.items():
-            for (f1, f2), c2 in _graft_coproduct_block(b).terms.items():
-                if f1 and f2 and all(x == X0 for x in f2):
-                    add_term(nxt, f1[0], c * c2)
+            b0, tail = b[0], b[1:]
+            for k in range(1, min(b0, alpha_weight(b)) + 1):
+                w = c * math.comb(b0, k)
+                for mono, cm in _shift_down_power_mono((b0 - k, *tail), k).terms.items():
+                    add_term(nxt, mono, w * cm)
         state = nxt
     return _from_binomial(hits)
 
@@ -254,41 +263,54 @@ def ds_solve(coeffs: Sequence, max_vertices: int) -> DSSolution:
     a tree with root fertility r gets a_r * r!/(multiplicities!) times its
     children's coefficients.  With ``den`` the common denominator of the
     a_r, ``den^size`` times that is an integer, computed in one pass over
-    ``all_trees`` in size order (children first), where each division by a
-    multiplicity's factorial is exact.  A tree's fertility counts are e_r
-    plus mult times each child's, read from the same table, which holds only
-    the trees with a nonzero coefficient: a tree with a child missing from
-    it is zero and is skipped without a walk.
+    ``all_trees`` in size order (children first).  Each child of a listed
+    tree is the very object listed in ``all_trees(child.size)``, so the
+    table of known trees is keyed by ``id`` and a run of equal children is
+    a run of one object; the j-th copy in a run multiplies by the child's
+    coefficient and divides by j, which is exact, as r!/(m_1! ... m_i! j!)
+    is an integer.  A tree's fertility counts are e_r plus each child's,
+    read from the same table, which holds only the trees with a nonzero
+    coefficient: a tree with a child missing from it is zero and is skipped
+    without a walk.  The lists stay cached in ``all_trees`` for the whole
+    call, so no id is reused.
     """
     if max_vertices < 1:
         raise ValueError("max_vertices must be >= 1")
     a = tuple(Fraction(c) for c in coeffs)
     den = math.lcm(*(c.denominator for c in a))
     nums = [c.numerator * (den // c.denominator) for c in a]
-    known: dict = {}  # enc -> (den^size * coefficient, fertility counts), nonzero only
+    known: dict = {}  # id(tree) -> (den^size * coefficient, fertility counts), nonzero only
     rows: dict[Alpha, dict] = {}  # distinct trees, so no key repeats
     for n in range(1, max_vertices + 1):
         den_n = den**n
+        width = min(n, len(nums))  # no fertility of a nonzero tree reaches len(nums)
         for t in all_trees(n):
-            r = len(t.children)
+            kids = t.children
+            r = len(kids)
             if r >= len(nums) or not nums[r]:
                 continue
             v = nums[r] * math.factorial(r)
-            counts = [0] * n  # no vertex has more than n - 1 children
+            counts = [0] * width  # nor n: no vertex has more than n - 1 children
             counts[r] = 1
-            for child, mult in t.child_multiplicities():
-                got = known.get(child.enc)
-                if got is None:  # a child with coefficient zero
-                    break
-                cv, child_counts = got
-                v = v * cv**mult // math.factorial(mult)
-                for i, e in enumerate(child_counts):
-                    counts[i] += mult * e
+            prev = None
+            for child in kids:
+                if child is prev:
+                    run += 1
+                    v = v * cv // run
+                else:
+                    got = known.get(id(child))
+                    if got is None:  # a child with coefficient zero
+                        break
+                    cv, child_counts = got
+                    v *= cv
+                    run, prev = 1, child
+                for m, e in enumerate(child_counts):
+                    counts[m] += e
             else:
                 while not counts[-1]:  # stops at the leaves' count
                     counts.pop()
                 mono = tuple(counts)
-                known[t.enc] = (v, mono)
+                known[id(t)] = (v, mono)
                 add_term(rows.setdefault(mono, {}), (t,), Fraction(v, den_n))
     entries = {key: HCKElem.adopt(terms) for key, terms in rows.items()}
     return DSSolution(coeffs=a, max_vertices=max_vertices, entries=entries)

@@ -3,8 +3,12 @@
 A tree is a multiset of child subtrees; the canonical form stores children
 sorted by their nested-tuple encodings, so structural equality is encoding
 equality.  Forests are sorted tuples of trees, the empty forest being the
-unit.  Statistics, printing and the contraction kernel walk the vertices
-on an explicit stack (``_vertices``), so they work at any depth;
+unit.  ``all_trees`` lists the trees of each size in ``enc`` order straight
+from the smaller lists, each tree a first child put before the children of
+a smaller listed tree, so no tree is sorted and every child is the very
+object listed for its size.  Statistics, printing and the contraction
+kernel walk the vertices on an explicit stack (``_vertices``), so they work
+at any depth;
 ``tree_stats`` takes all three statistics in one such walk, with factorial
 work only at vertices of two or more children; a miss
 in the cut coproduct's or the order polynomial's per-tree memo fills the
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
@@ -51,11 +56,17 @@ class RootedTree:
 
     __slots__ = ("children", "enc", "size")
 
-    def __init__(self, children: Iterable["RootedTree"] = ()):
-        kids = tuple(sorted(children, key=_enc))
-        self.children = kids
-        self.enc = tuple(map(_enc, kids))
-        self.size = 1 + sum(map(_size, kids))
+    def __init__(self, children: Iterable["RootedTree"] = (), enc=None, size=0):
+        """The children in any order.  Passing ``enc`` is the trusted path
+        of ``all_trees``: ``children`` is then a tuple already sorted by
+        ``enc``, and ``enc`` and ``size`` are taken as they are given."""
+        if enc is None:
+            children = tuple(sorted(children, key=_enc))
+            enc = tuple(map(_enc, children))
+            size = 1 + sum(map(_size, children))
+        self.children = children
+        self.enc = enc
+        self.size = size
 
     def __eq__(self, other):
         return isinstance(other, RootedTree) and self.enc == other.enc
@@ -229,31 +240,35 @@ def fertility_monomial(t: RootedTree) -> Alpha:
 
 @lru_cache(maxsize=None)
 def all_trees(n: int) -> tuple[RootedTree, ...]:
-    """All canonical rooted trees with exactly n vertices, sorted by ``enc``:
-    a root over each multiset of smaller trees with n - 1 vertices in all,
-    each multiset once, as ``rec`` takes nondecreasing indices into the
-    (size, enc)-ordered distinct trees."""
+    """All canonical rooted trees with exactly n vertices, sorted by ``enc``.
+
+    ``enc`` order is lexicographic order on the sorted children, so the
+    trees come grouped by their first (smallest) child c, in c's ``enc``
+    order.  With k = n - |c|, the trees of first child c are c put before
+    the children of each tree t of ``all_trees(k)`` whose first child is at
+    least c: B[c] alone when k is 1, and for k >= 2 a suffix of
+    ``all_trees(k)``, already in order, which ``bisect_left`` finds.  So the
+    children of every tree listed are the very objects of the smaller lists,
+    and no tree's children are sorted: each tree is built on the trusted
+    path of ``RootedTree``.
+    """
     if n < 1:
         return ()
     if n == 1:
         return (LEAF,)
-    pool = [t for m in range(1, n) for t in all_trees(m)]
+    lists = [()] + [all_trees(m) for m in range(1, n)]  # each smaller list read once
+    # each listed tree's first child, by enc; the leaf (k = 1) has none
+    firsts = [None, None] + [[t.enc[0] for t in trees] for trees in lists[2:]]
     out: list[RootedTree] = []
-
-    def rec(remaining: int, start: int, acc: list[RootedTree]):
-        if remaining == 0:
-            out.append(RootedTree(acc))  # which sorts the children by enc
-            return
-        for idx in range(start, len(pool)):
-            t = pool[idx]
-            if t.size > remaining:
-                break
-            acc.append(t)
-            rec(remaining - t.size, idx, acc)
-            acc.pop()
-
-    rec(n - 1, 0, [])
-    return tuple(sorted(out, key=_enc))
+    # the smaller trees in enc order: one sort, of runs already sorted
+    for c in sorted(itertools.chain.from_iterable(lists), key=_enc):
+        k = n - c.size
+        rest = lists[k]
+        if k > 1:
+            rest = rest[bisect_left(firsts[k], c.enc):]
+        kids, head = (c,), (c.enc,)
+        out += [RootedTree(kids + t.children, head + t.enc, n) for t in rest]
+    return tuple(out)
 
 
 def trees_with_monomial(a: Alpha) -> tuple[RootedTree, ...]:

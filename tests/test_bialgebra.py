@@ -332,17 +332,20 @@ def test_antipode_law_negative_control_on_two_blocks():
 
 
 def test_antipode_and_direct_invariant_build_no_forest_coproduct():
-    """The antipode of a three-block forest and the direct invariant read
-    block coproducts only: the forest-level memo stays empty."""
+    """The antipode of a three-block forest and the direct invariant build
+    no forest coproduct, and the direct invariant, which reads down-shift
+    powers, builds no block coproduct either."""
     three = parse_selem("x0^3*x1*x2 | x0^2*x1^2*x2 | x0*x1*x2*x3")
     a = (4, 2, 1, 1)
     assert alpha_deg(a) == 0
     _antipode_block.cache_clear()
     _block_coproduct_fm.cache_clear()
+    _graft_coproduct_block.cache_clear()
     s = antipode(three)
     assert len(s.terms) == 8752
     assert poly_invariant(a, "direct") == poly_invariant(a, "fixed-point")
     assert _block_coproduct_fm.cache_info().currsize == 0
+    assert _graft_coproduct_block.cache_info().currsize == 0
 
 
 def test_law_kit_negative_controls():

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 import re
 import subprocess
@@ -9,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import mindex
 from mindex import parsing
 from mindex.cli import build_parser, factored_form, main, render_command
 from mindex.exact import Poly, indefinite_sum
@@ -25,6 +27,13 @@ from mindex.parsing import (
 )
 from mindex.selfcheck import law_rota_baxter, run_selfcheck, trees_up_to
 from mindex.trees import LEAF, RootedTree, corolla, forest, ladder
+
+# A CLI subprocess imports the same mindex as these tests, wherever it lies.
+_HOME = os.path.dirname(os.path.dirname(os.path.abspath(mindex.__file__)))
+SUBPROCESS_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [_HOME, os.environ.get("PYTHONPATH")])),
+}
 
 
 def test_word_roundtrip():
@@ -290,7 +299,7 @@ def test_cli_deep_tree_exits_1_without_traceback():
     # recurses in C once per level, past the C recursion limit of every
     # supported Python
     cmd = [sys.executable, "-m", "mindex.cli", "Delta-ck", "B[ladder:20000,ladder:20000]"]
-    out = subprocess.run(cmd, capture_output=True, text=True)
+    out = subprocess.run(cmd, capture_output=True, text=True, env=SUBPROCESS_ENV)
     assert out.returncode == 1
     assert out.stderr.startswith("error:")
     assert "Traceback" not in out.stderr
@@ -298,15 +307,15 @@ def test_cli_deep_tree_exits_1_without_traceback():
 
 def test_cli_stats_of_a_very_deep_tree():
     cmd = [sys.executable, "-m", "mindex.cli", "stats", "ladder:200000"]
-    out = subprocess.run(cmd, capture_output=True, text=True)
+    out = subprocess.run(cmd, capture_output=True, text=True, env=SUBPROCESS_ENV)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "symmetry=1\tplane=1\tmonomial=x1^199999*x0\n"
 
 
 def test_cli_subprocess_deterministic():
     cmd = [sys.executable, "-m", "mindex.cli", "psi", "x2*x1*x0^2"]
-    a = subprocess.run(cmd, capture_output=True, text=True)
-    b = subprocess.run(cmd, capture_output=True, text=True)
+    a = subprocess.run(cmd, capture_output=True, text=True, env=SUBPROCESS_ENV)
+    b = subprocess.run(cmd, capture_output=True, text=True, env=SUBPROCESS_ENV)
     assert a.returncode == 0 and a.stdout == b.stdout
     assert a.stdout.strip() == "2*B[B[],B[B[]]] + B[B[B[],B[]]]"
 
@@ -473,7 +482,9 @@ def test_cli_out_of_memory_exits_1():
 
     # the parsed monomial alone is a vector of 10^8 exponents
     cmd = [sys.executable, "-m", "mindex.cli", "mu", "x99999999*x0"]
-    out = subprocess.run(cmd, capture_output=True, text=True, preexec_fn=cap_address_space)
+    out = subprocess.run(
+        cmd, capture_output=True, text=True, env=SUBPROCESS_ENV, preexec_fn=cap_address_space
+    )
     assert out.returncode == 1
     assert out.stdout == ""
     assert out.stderr == "error: out of memory\n"

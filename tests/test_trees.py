@@ -114,7 +114,7 @@ def test_deep_trees_print_and_parse():
         assert tree_stats(t) == stats
 
 
-A000081 = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
+A000081 = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486]
 
 
 def test_enumeration_counts():
@@ -125,6 +125,52 @@ def test_enumeration_counts():
         assert len(trees) == count, n
         assert all(s.enc < t.enc for s, t in zip(trees, trees[1:])), n
         assert all(t.size == n for t in trees), n
+
+
+def _all_trees_oracle(n_max):
+    """Trees by size through n_max, each a root over a multiset of smaller
+    trees, built by the sorting constructor and sorted by ``enc`` at the end."""
+    lists = {1: [LEAF]}
+    for n in range(2, n_max + 1):
+        pool = [t for m in range(1, n) for t in lists[m]]
+        out = []
+
+        def rec(remaining, start, acc):
+            if remaining == 0:
+                out.append(RootedTree(acc))
+                return
+            for idx in range(start, len(pool)):
+                t = pool[idx]
+                if t.size > remaining:
+                    break
+                acc.append(t)
+                rec(remaining - t.size, idx, acc)
+                acc.pop()
+
+        rec(n - 1, 0, [])
+        lists[n] = sorted(out, key=lambda t: t.enc)
+    return lists
+
+
+def test_enumeration_matches_multiset_recursion():
+    oracle = _all_trees_oracle(12)
+    for n in range(1, 13):
+        got, want = all_trees(n), oracle[n]
+        assert [t.enc for t in got] == [t.enc for t in want], n
+        assert [t.children for t in got] == [t.children for t in want], n
+        assert [t.size for t in got] == [t.size for t in want], n
+
+
+def test_enumerated_children_are_the_listed_trees():
+    """Every child of a listed tree is the very object that the list of
+    its size holds, and the trusted constructor path agrees with the
+    sorting one."""
+    index = {t.enc: t for n in range(1, 13) for t in all_trees(n)}
+    for n in range(1, 13):
+        for t in all_trees(n):
+            assert all(c is index[c.enc] for c in t.children), t
+            again = RootedTree(reversed(t.children))
+            assert (again.enc, again.size, again.children) == (t.enc, t.size, t.children), t
 
 
 def _fertility_reference(t):
